@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
-from .series import NonIntegralError, Series, monomial, one, poch, zero
+from .series import Series, integral, monomial, one, poch, zero
 
 Partition = tuple[int, ...]
 
@@ -194,10 +194,7 @@ def xi_series(order: int) -> Series:
     a = a_lattice(order)
     series = (a * a - 1) * poch(1, 3, 3, None, order).invert() * Fraction(1, 12)
     for k, c in enumerate(series.coeffs):
-        if c.denominator != 1:
-            raise NonIntegralError(
-                f"coefficient {c} of q^{k} is not an integer", index=k
-            )
+        integral(c, k)
     return series
 
 

@@ -26,16 +26,19 @@ class NonUnitError(ZeroDivisionError):
 
 
 class NonIntegralError(ArithmeticError):
-    """Raised when a coefficient denominator is divisible by the modulus.
+    """Raised when a value that must be integral is not.
 
-    Carries ``index``, the exponent of the offending coefficient.  This is a
-    meaningful outcome for congruence checks, not just a precondition bug:
-    it falsifies the p-adic reading of the congruence being tested.
+    Carries the ``value``, its ``index`` (the exponent of the coefficient) and
+    the ``requirement`` it fails, "p-integral" or "integral".  For congruence
+    checks this is a meaningful outcome, not just a precondition bug: it
+    falsifies the p-adic reading of the congruence being tested.
     """
 
-    def __init__(self, message: str, index: int | None = None):
-        super().__init__(message)
+    def __init__(self, value: Rational, index: int, requirement: str):
+        super().__init__(f"coefficient {value} of q^{index} is not {requirement}")
+        self.value = value
         self.index = index
+        self.requirement = requirement
 
 
 class Series:
@@ -187,23 +190,10 @@ class Series:
         return Series(out)
 
     def reduce_mod(self, p: int) -> tuple[int, ...]:
-        """Residues of the coefficients mod p (a prime).
-
-        Each coefficient a/b must be p-integral (p does not divide b); the
-        residue is a * b^-1 mod p.  A denominator divisible by p raises
-        NonIntegralError with the offending exponent.
-        """
+        """Residues of the coefficients mod p (a prime), each by ``residue``."""
         if p < 2:
             raise ValueError("modulus must be at least 2")
-        out = []
-        for k, c in enumerate(self._coeffs):
-            den = c.denominator
-            if den % p == 0:
-                raise NonIntegralError(
-                    f"coefficient {c} of q^{k} is not {p}-integral", index=k
-                )
-            out.append(c.numerator * pow(den, -1, p) % p)
-        return tuple(out)
+        return tuple(residue(c, p, k) for k, c in enumerate(self._coeffs))
 
     def equal_up_to(self, other: Series, upto: int):
         """First exponent <= upto where the two series differ, or None."""
@@ -250,6 +240,24 @@ class Series:
                 break
         body = " + ".join(terms) if terms else "0"
         return f"Series({body}; order={self.order})"
+
+
+def residue(c: Rational, p: int, index: int) -> int:
+    """c mod p for a p-integral rational a/b (p does not divide b): a * b^-1 mod p.
+
+    A denominator divisible by p raises NonIntegralError at ``index``.
+    """
+    den = c.denominator
+    if den % p == 0:
+        raise NonIntegralError(c, index, f"{p}-integral")
+    return c.numerator * pow(den, -1, p) % p
+
+
+def integral(c: Rational, index: int) -> Rational:
+    """c itself when it is an integer; otherwise NonIntegralError at ``index``."""
+    if c.denominator != 1:
+        raise NonIntegralError(c, index, "integral")
+    return c
 
 
 def monomial(c: Rational, k: int, order: int) -> Series:

@@ -4,10 +4,12 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from sptlab import identities
+from sptlab import identities, partitions, theta
+from sptlab.series import Series
 
 ORDER = 24
 BOUND = 14
@@ -91,7 +93,7 @@ class TestDiagnostics:
     def test_i4_alpha0_diagnostic(self, full_results):
         d = next(r for r in full_results if r.id == "I4").diagnostic
         assert d["status"] == "fail" == d["expected_status"]
-        assert d["first_mismatch"][0] == 1
+        assert d["first_mismatch"] == [1, "1", "2"]
 
     def test_i7_lambert_start_diagnostic(self, full_results):
         d = next(r for r in full_results if r.id == "I7").diagnostic
@@ -101,12 +103,64 @@ class TestDiagnostics:
     def test_i9_extra_factor_diagnostic(self, full_results):
         d = next(r for r in full_results if r.id == "I9").diagnostic
         assert d["status"] == "fail"
-        assert d["first_mismatch"][0] == 9
+        assert d["first_mismatch"] == [9, "14", "16"]
 
     def test_i12_zero_term_diagnostic(self, full_results):
         d = next(r for r in full_results if r.id == "I12").diagnostic
         assert d["status"] == "fail"
         assert d["first_mismatch"] == [3, "13/12", "3-integral"]
+
+
+def doctored(builder, index, change):
+    """``builder`` with the coefficient of q^index replaced by change(old)."""
+    def build(order):
+        coeffs = list(builder(order).coeffs)
+        coeffs[index] = change(coeffs[index])
+        return Series(coeffs)
+    return build
+
+
+class TestFailureLabels:
+    """A defect injected into one builder is reported at its own index, with
+    the offending value and a label that names what the value lacks."""
+
+    def test_non_integral_xi_is_not_labelled_3_integral(self, monkeypatch):
+        # a(q) = 1 + 7q + ... makes xi(1) = 14/12 = 7/6
+        monkeypatch.setattr(theta, "a_lattice", doctored(theta.a_lattice, 1, lambda c: c + 1))
+        partitions.xi_series.cache_clear()
+        try:
+            for check_id in ("I9", "I11"):  # xi built before the cases / while yielding them
+                r = identities.run(check_id, 12, 12)
+                assert r.status == "fail"
+                assert r.first_mismatch == [1, "7/6", "integral"]
+        finally:
+            partitions.xi_series.cache_clear()
+
+    def test_congruence_reports_index_and_value(self, monkeypatch):
+        def third(c):
+            return c + Fraction(1, 3)
+
+        monkeypatch.setattr(partitions, "spt_series", doctored(partitions.spt_series, 2, third))
+        assert identities.run("I16", 12, 12).first_mismatch == [6, "10/3", "3-integral"]
+        monkeypatch.setattr(partitions, "spt23_series", doctored(partitions.spt23_series, 3, third))
+        assert identities.run("I12", 12, 12).first_mismatch == [3, "13/3", "3-integral"]
+
+    def test_i19_and_i20_label_a_non_3_integral_value_alike(self, monkeypatch):
+        monkeypatch.setattr(partitions, "spt23_series",
+                            doctored(partitions.spt23_series, 5, lambda c: Fraction(28, 3)))
+        i19, i20 = identities.run("I19", 12, 12), identities.run("I20", 12, 12)
+        assert i19.status == i20.status == "fail"
+        assert i19.first_mismatch[0] == i20.first_mismatch[0] == 5
+        assert i19.first_mismatch[2] == i20.first_mismatch[2] == "3-integral"
+
+    def test_i20_needs_an_integer_not_just_a_3_adic_zero(self, monkeypatch):
+        # 21/2 is 0 mod 3 read 3-adically, so I19 holds; spt23(5) must be a count
+        monkeypatch.setattr(partitions, "spt23_series",
+                            doctored(partitions.spt23_series, 5, lambda c: Fraction(21, 2)))
+        assert identities.run("I19", 12, 12).status == "pass"
+        r = identities.run("I20", 12, 12)
+        assert r.status == "fail"
+        assert r.first_mismatch == [5, "21/2", "integral"]
 
 
 class TestReportSchema:
