@@ -131,28 +131,20 @@ def lemma_sides(pair: BaileyPair, z, y, order: int) -> tuple[Series, Series]:
     w = 1 / (z * y)  # (q/zy)^n contributes w^n q^n
 
     lhs = zero(order)
-    for n in range(min(pair.n_max, order) + 1):
-        term = poch(z, 0, 1, n, order) * poch(y, 0, 1, n, order) * pair.beta[n]
-        term = term * w**n
-        if n:
-            term = term * monomial(1, n, order)
-        lhs += term
+    total = zero(order)
+    for n in range(order + 1):
+        # (z;q)_n (y;q)_n (q/zy)^n, shared by both sides
+        weight = monomial(w**n, n, order) * poch(z, 0, 1, n, order) * poch(y, 0, 1, n, order)
+        lhs += weight * pair.beta[n]
+        if not pair.alpha[n].is_zero():
+            den = poch(1 / z, 1, 1, n, order) * poch(1 / y, 1, 1, n, order)
+            total += pair.alpha[n] * weight * den.invert()
 
     prefactor = (
         poch(1 / z, 1, 1, None, order)
         * poch(1 / y, 1, 1, None, order)
         * (poch(1, 1, 1, None, order) * poch(w, 1, 1, None, order)).invert()
     )
-    total = zero(order)
-    for n in range(min(pair.n_max, order) + 1):
-        if pair.alpha[n].is_zero():
-            continue
-        num = poch(z, 0, 1, n, order) * poch(y, 0, 1, n, order) * pair.alpha[n]
-        den = poch(1 / z, 1, 1, n, order) * poch(1 / y, 1, 1, n, order)
-        term = num * den.invert() * w**n
-        if n:
-            term = term * monomial(1, n, order)
-        total += term
     return lhs, prefactor * total
 
 

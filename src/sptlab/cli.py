@@ -53,8 +53,10 @@ def _format_text(results, order, oracle_bound) -> str:
             idx, left, right = r.first_mismatch
             line += f"  first mismatch at {idx}: {left} vs {right}"
         lines.append(line)
-        if r.diagnostic is not None and "name" in r.diagnostic:
-            d = r.diagnostic
+        d = r.diagnostic or {}
+        if "error" in d:
+            lines.append(f"      error: {d['error']}")
+        if "name" in d:
             note = f"      diagnostic {d['name']}: {d['status']} (expected {d['expected_status']})"
             if "first_mismatch" in d:
                 idx, left, right = d["first_mismatch"]

@@ -20,7 +20,7 @@ import json
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from itertools import chain
 from pathlib import Path
 
@@ -95,16 +95,6 @@ def _coeffs(lhs: Series, rhs: Series, order: int):
     return ((k, lhs[k], rhs[k]) for k in range(order + 1))
 
 
-@lru_cache(maxsize=None)
-def _euler_inf(base: int, order: int) -> Series:
-    return poch(1, base, base, None, order)
-
-
-@lru_cache(maxsize=None)
-def _inv_euler3(order: int) -> Series:
-    return _euler_inf(3, order).invert()
-
-
 # ---------------------------------------------------------------------------
 # the checks; each returns its cases (and, with an erratum, the literal ones)
 # ---------------------------------------------------------------------------
@@ -129,7 +119,7 @@ def _chk_i2(order, bound):
 def _chk_i3(order, bound):
     lhs = partitions.spt23_series(order)
     n2q3 = partitions.second_rank_moment_series(order).substitute_power(3)
-    rhs = lambert(1, 1, order) * _inv_euler3(order) - n2q3 * Fraction(1, 2)
+    rhs = lambert(1, 1, order) * poch(1, 3, 3, None, order).invert() - n2q3 * Fraction(1, 2)
     return _coeffs(lhs, rhs, order)
 
 
@@ -185,7 +175,7 @@ def _chk_i9(order, bound):
     # which is how the right side reads if the tail sum is taken for
     # -1/2 sum N2(n) q^(3n) without its own Euler-product factor
     return _coeffs(lhs, xi + n2q3, order), lambda: _coeffs(
-        lhs, xi + _inv_euler3(order) * n2q3, order
+        lhs, xi + poch(1, 3, 3, None, order).invert() * n2q3, order
     )
 
 
@@ -283,9 +273,9 @@ def _chk_i17(order, bound):
 
 def _chk_i18(order, bound):
     lhs = _difference_series(order)
-    e1 = _euler_inf(1, order)
-    e9 = _euler_inf(9, order)
-    inv3 = _inv_euler3(order)
+    e1 = poch(1, 1, 1, None, order)
+    e9 = poch(1, 9, 9, None, order)
+    inv3 = poch(1, 3, 3, None, order).invert()
     inv3sq = inv3 * inv3
     bracket = (
         monomial(Fraction(27, 4), 2, order) * e9**6 * inv3sq
@@ -299,8 +289,8 @@ def _chk_i18(order, bound):
 
 
 def _chk_i19(order, bound):
-    e1 = _euler_inf(1, order)
-    inv3 = _inv_euler3(order)
+    e1 = poch(1, 1, 1, None, order)
+    inv3 = poch(1, 3, 3, None, order).invert()
     n2q3 = partitions.second_rank_moment_series(order).substitute_power(3)
     rhs = e1**6 * inv3**3 * Fraction(1, 12) - inv3 * Fraction(1, 12) + n2q3
     diff = partitions.spt23_series(order) - rhs

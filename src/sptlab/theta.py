@@ -61,13 +61,11 @@ def _table_for(k: int) -> LatticeCountTable:
     return lattice_table(bound)
 
 
-@lru_cache(maxsize=None)
 def a_lattice(order: int) -> Series:
     """a(q) with the coefficient of q^k counted directly on the lattice."""
     return Series(lattice_table(order).r2)
 
 
-@lru_cache(maxsize=None)
 def a_lambert(order: int, first_index: int = 0) -> Series:
     """a(q) as 1 + 6 sum_{n>=first_index} (q^(3n+1)/(1-q^(3n+1)) - q^(3n+2)/(1-q^(3n+2))).
 
@@ -88,7 +86,6 @@ def a_lambert(order: int, first_index: int = 0) -> Series:
     return Series(coeffs)
 
 
-@lru_cache(maxsize=None)
 def a_eta(order: int) -> Series:
     """a(q) as the eta quotient 9q (q^9;q^9)_inf^3/(q^3;q^3)_inf + (q;q)_inf^3/(q^3;q^3)_inf."""
     e1 = poch(1, 1, 1, None, order)
@@ -120,6 +117,8 @@ def p3_convolution(n: int, table: LatticeCountTable | None = None) -> int:
         raise ValueError("the convolution needs n >= 0")
     if table is None:
         table = _table_for(n)
+    elif table.bound < n:
+        raise ValueError(f"the lattice table has bound {table.bound}, index {n} is needed")
     R = table.R
     return sum(R[k] * p3(n - k) for k in range(n + 1))
 
@@ -130,5 +129,7 @@ def p3_alt(m: int, table: LatticeCountTable | None = None) -> int:
         raise ValueError("the convolution needs m >= 0")
     if table is None:
         table = _table_for(3 * m)
+    elif table.bound < 3 * m:
+        raise ValueError(f"the lattice table has bound {table.bound}, index {3 * m} is needed")
     R = table.R
     return sum(R[3 * k] * p_count(m - k) for k in range(m + 1))

@@ -20,7 +20,7 @@ from sptlab.partitions import (
     second_rank_moment_series,
     spt23_series,
 )
-from sptlab.series import lambert, monomial, one, poch, zero
+from sptlab.series import Series, lambert, monomial, one, poch, zero
 
 
 def unit_pair(n_max: int, order: int) -> BaileyPair:
@@ -32,6 +32,39 @@ def unit_pair(n_max: int, order: int) -> BaileyPair:
         pn = poch(1, 1, 1, n, order)
         beta.append((pn * pn).invert())
     return BaileyPair(tuple(alpha), tuple(beta))
+
+
+def reference_lemma_sides(pair: BaileyPair, z, y, order: int) -> tuple[Series, Series]:
+    """Both sides of Bailey's lemma at (z, y), a = 1, each summed in its own
+    loop that builds (z;q)_n (y;q)_n (q/zy)^n afresh: the differential
+    reference for ``lemma_sides``, which builds that weight once per n."""
+    z, y = Fraction(z), Fraction(y)
+    w = 1 / (z * y)
+
+    lhs = zero(order)
+    for n in range(min(pair.n_max, order) + 1):
+        term = poch(z, 0, 1, n, order) * poch(y, 0, 1, n, order) * pair.beta[n]
+        term = term * w**n
+        if n:
+            term = term * monomial(1, n, order)
+        lhs += term
+
+    prefactor = (
+        poch(1 / z, 1, 1, None, order)
+        * poch(1 / y, 1, 1, None, order)
+        * (poch(1, 1, 1, None, order) * poch(w, 1, 1, None, order)).invert()
+    )
+    total = zero(order)
+    for n in range(min(pair.n_max, order) + 1):
+        if pair.alpha[n].is_zero():
+            continue
+        num = poch(z, 0, 1, n, order) * poch(y, 0, 1, n, order) * pair.alpha[n]
+        den = poch(1 / z, 1, 1, n, order) * poch(1 / y, 1, 1, n, order)
+        term = num * den.invert() * w**n
+        if n:
+            term = term * monomial(1, n, order)
+        total += term
+    return lhs, prefactor * total
 
 
 class TestSlaterTables:
@@ -100,6 +133,17 @@ class TestLemmaSpecialization:
         for z, y in ((-2, -1), (Fraction(1, 2), -3), (2, 3)):
             lhs, rhs = lemma_sides(pair, z, y, order)
             assert lhs.equal_up_to(rhs, order) is None
+
+    @pytest.mark.parametrize("make_pair", [slater_j1, unit_pair])
+    @pytest.mark.parametrize("z, y", [(-1, -1), (-2, -1), (Fraction(1, 2), -3), (2, 3)])
+    def test_each_side_matches_the_two_loop_reference(self, make_pair, z, y):
+        # agreement of the two sides alone would not catch a weight that
+        # both sides share wrongly
+        order = 14
+        pair = make_pair(order, order)
+        sides = lemma_sides(pair, z, y, order)
+        for side, ref in zip(sides, reference_lemma_sides(pair, z, y, order)):
+            assert side.coeffs == ref.coeffs
 
     def test_unit_specialization_is_degenerate(self):
         pair = slater_j1(12, 12)

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from sptlab import identities, partitions, theta
+from sptlab import bailey, cli, identities, partitions, theta
 from sptlab.series import Series
 
 ORDER = 24
@@ -161,6 +161,39 @@ class TestFailureLabels:
         r = identities.run("I20", 12, 12)
         assert r.status == "fail"
         assert r.first_mismatch == [5, "21/2", "integral"]
+
+
+class TestErrorResults:
+    def test_text_report_names_the_exception(self, monkeypatch, capsys):
+        def broken(order):
+            raise RuntimeError("spt23 builder broke")
+
+        monkeypatch.setattr(partitions, "spt23_series", broken)
+        assert cli.main(["verify", "--id", "I20", "--order", "12"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].split()[:2] == ["I20", "error"]
+        assert lines[2] == "      error: RuntimeError('spt23 builder broke')"
+
+
+class TestCaches:
+    def test_traced_builders_keep_their_caches(self):
+        # perfbench/tracer.py reads cache_info() of each of these, so a cache
+        # deleted by mistake breaks a traced benchmark run
+        memoized = [
+            partitions.spt_series,
+            partitions.spt23_series,
+            partitions.rank_moment_tail,
+            partitions.second_rank_moment_series,
+            partitions.xi_series,
+            partitions.spt,
+            partitions.spt23,
+            partitions._rank_count_items,
+            theta.lattice_table,
+            bailey.slater_j1,
+        ]
+        missing = [fn.__name__ for fn in memoized
+                   if not (hasattr(fn, "cache_info") and hasattr(fn, "cache_clear"))]
+        assert missing == []
 
 
 class TestReportSchema:

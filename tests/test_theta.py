@@ -165,3 +165,12 @@ class TestConvolutions:
         for n in range(13):
             expected = sum(table.R[k] * p3(n - k) for k in range(n + 1))
             assert p3_convolution(n, table) == expected
+
+    def test_convolution_rejects_a_table_that_is_too_small(self):
+        with pytest.raises(ValueError, match=r"bound 60, index 70 is needed"):
+            p3_convolution(70, lattice_table(60))
+
+    def test_alt_form_rejects_a_table_that_is_too_small(self):
+        # p3_alt(m) reads R(3m)
+        with pytest.raises(ValueError, match=r"bound 60, index 75 is needed"):
+            p3_alt(25, lattice_table(60))
