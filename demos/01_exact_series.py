@@ -22,10 +22,13 @@ print("nonzero exponents:", [k for k, c in enumerate(euler.coeffs) if c])
 print("(exponents k(3k-1)/2 for k = 0, ±1, ±2, ...)")
 
 print()
-print("== partition numbers by inversion ==")
+print("== partition numbers by inversion, and by dividing out binomials ==")
 inv = euler.invert()
 print("1/(q;q)_inf coefficients:", [int(c) for c in inv.coeffs])
 print("(these are p(0), p(1), p(2), ...)")
+by_binomials = one(N).qmul(1, 1, 1, None, -1)  # divide by each (1 - q^e) in place
+print("1/(q;q)_inf by qmul:     ", [int(c) for c in by_binomials.coeffs])
+print("same as euler.invert():", by_binomials == inv)
 
 print()
 print("== rational coefficients stay exact ==")

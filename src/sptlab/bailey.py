@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
-from .series import Series, lambert, monomial, one, poch, zero
+from .series import Series, exact, lambert, monomial, one, zero
 
 
 class DegenerateParameterError(ValueError):
@@ -55,7 +55,8 @@ def slater_j1(n_max: int, order: int, literal_alpha0: bool = False) -> BaileyPai
     alpha_0 = 1 and beta_0 = 1 by convention: the tabulated formulas
     alpha_{3k} = (-1)^k q^(3k(3k-1)/2) (1 + q^(3k)) and
     beta_n = (q^3;q^3)_{n-1} / ((q;q)_n (q;q)_{2n-1})
-    are used verbatim for n >= 1, with alpha vanishing off multiples of 3.
+    are used for n >= 1, with alpha vanishing off multiples of 3; beta_n is stepped
+    from beta_1 = 1/(1-q)^2 by beta_n/beta_{n-1} = (1-q^(3n-3))/((1-q^n)(1-q^(2n-2))(1-q^(2n-1))).
     ``literal_alpha0=True`` instead reads the alpha formula at k = 0, which
     gives alpha_0 = 2 and breaks the defining relation at n = 1; it exists
     as a deliberately failing diagnostic.
@@ -77,9 +78,11 @@ def slater_j1(n_max: int, order: int, literal_alpha0: bool = False) -> BaileyPai
             if e + n <= order:
                 cs[e + n] += sign
             alpha.append(Series(cs))
-        num = poch(1, 3, 3, n - 1, order)
-        den = poch(1, 1, 1, n, order) * poch(1, 1, 1, 2 * n - 1, order)
-        beta.append(num * den.invert())
+        if n == 1:
+            beta.append(one(order).qmul(1, 1, 1, 1, -2))
+        else:
+            step = beta[-1].qmul(1, 3 * n - 3, 1, 1).qmul(1, n, 1, 1, -1)
+            beta.append(step.qmul(1, 2 * n - 2, 1, 2, -1))
     return BaileyPair(tuple(alpha), tuple(beta))
 
 
@@ -97,8 +100,7 @@ def verify_pair(pair: BaileyPair, order: int | None = None):
         for r in range(n + 1):
             if pair.alpha[r].is_zero():
                 continue
-            den = poch(1, 1, 1, n + r, order) * poch(1, 1, 1, n - r, order)
-            rhs += pair.alpha[r] * den.invert()
+            rhs += pair.alpha[r].qmul(1, 1, 1, n + r, -1).qmul(1, 1, 1, n - r, -1)
         k = pair.beta[n].equal_up_to(rhs, order)
         if k is not None:
             return (n, k, pair.beta[n][k], rhs[k])
@@ -117,7 +119,7 @@ def lemma_sides(pair: BaileyPair, z, y, order: int) -> tuple[Series, Series]:
     reported as a meaningful match.  Every summand is O(q^n), so the pair
     must be tabulated to n_max >= order.
     """
-    z, y = Fraction(z), Fraction(y)
+    z, y = exact(z), exact(y)
     if z == 0 or y == 0:
         raise ValueError("z and y must be nonzero")
     if z == 1 or y == 1:
@@ -134,18 +136,13 @@ def lemma_sides(pair: BaileyPair, z, y, order: int) -> tuple[Series, Series]:
     total = zero(order)
     for n in range(order + 1):
         # (z;q)_n (y;q)_n (q/zy)^n, shared by both sides
-        weight = monomial(w**n, n, order) * poch(z, 0, 1, n, order) * poch(y, 0, 1, n, order)
+        weight = monomial(w**n, n, order).qmul(z, 0, 1, n).qmul(y, 0, 1, n)
         lhs += weight * pair.beta[n]
         if not pair.alpha[n].is_zero():
-            den = poch(1 / z, 1, 1, n, order) * poch(1 / y, 1, 1, n, order)
-            total += pair.alpha[n] * weight * den.invert()
+            total += (pair.alpha[n] * weight).qmul(1 / z, 1, 1, n, -1).qmul(1 / y, 1, 1, n, -1)
 
-    prefactor = (
-        poch(1 / z, 1, 1, None, order)
-        * poch(1 / y, 1, 1, None, order)
-        * (poch(1, 1, 1, None, order) * poch(w, 1, 1, None, order)).invert()
-    )
-    return lhs, prefactor * total
+    rhs = total.qmul(1 / z, 1, 1, None).qmul(1 / y, 1, 1, None)
+    return lhs, rhs.qmul(1, 1, 1, None, -1).qmul(w, 1, 1, None, -1)
 
 
 def derivative_identity_sides(pair: BaileyPair, order: int) -> tuple[Series, Series]:
@@ -162,15 +159,13 @@ def derivative_identity_sides(pair: BaileyPair, order: int) -> tuple[Series, Ser
         )
     lhs = zero(order)
     for n in range(1, order + 1):
-        pref = poch(1, 1, 1, n - 1, order)
-        lhs += pref * pref * pair.beta[n] * monomial(1, n, order)
+        lhs += (monomial(1, n, order) * pair.beta[n]).qmul(1, 1, 1, n - 1, 2)
 
     rhs = pair.alpha[0] * lambert(1, 1, order)
     for n in range(1, order + 1):
         if pair.alpha[n].is_zero():
             continue
-        geom = (one(order) - monomial(1, n, order)).invert()
-        rhs += pair.alpha[n] * monomial(1, n, order) * geom * geom
+        rhs += (pair.alpha[n] * monomial(1, n, order)).qmul(1, n, 1, 1, -2)
     return lhs, rhs
 
 

@@ -102,9 +102,10 @@ def _coeffs(lhs: Series, rhs: Series, order: int):
 
 def _chk_i1(order, bound):
     lhs = zero(order)
-    u = one(order)
-    for n in range(order):
-        lhs += u - poch(1, n + 1, 1, None, order)
+    tail = poch(1, 1, 1, None, order)  # (q^n;q)_inf, stepped up from n = 1
+    for n in range(1, order + 1):
+        lhs += 1 - tail
+        tail = tail.qmul(1, n, 1, 1, -1)
     rhs = Series([0] + [partitions.sigma(0, n) for n in range(1, order + 1)])
     return _coeffs(lhs, rhs, order)
 
@@ -119,7 +120,7 @@ def _chk_i2(order, bound):
 def _chk_i3(order, bound):
     lhs = partitions.spt23_series(order)
     n2q3 = partitions.second_rank_moment_series(order).substitute_power(3)
-    rhs = lambert(1, 1, order) * poch(1, 3, 3, None, order).invert() - n2q3 * Fraction(1, 2)
+    rhs = lambert(1, 1, order).qmul(1, 3, 3, None, -1) - n2q3 * Fraction(1, 2)
     return _coeffs(lhs, rhs, order)
 
 
@@ -175,7 +176,7 @@ def _chk_i9(order, bound):
     # which is how the right side reads if the tail sum is taken for
     # -1/2 sum N2(n) q^(3n) without its own Euler-product factor
     return _coeffs(lhs, xi + n2q3, order), lambda: _coeffs(
-        lhs, xi + poch(1, 3, 3, None, order).invert() * n2q3, order
+        lhs, xi + n2q3.qmul(1, 3, 3, None, -1), order
     )
 
 
@@ -273,26 +274,20 @@ def _chk_i17(order, bound):
 
 def _chk_i18(order, bound):
     lhs = _difference_series(order)
-    e1 = poch(1, 1, 1, None, order)
-    e9 = poch(1, 9, 9, None, order)
-    inv3 = poch(1, 3, 3, None, order).invert()
-    inv3sq = inv3 * inv3
     bracket = (
-        monomial(Fraction(27, 4), 2, order) * e9**6 * inv3sq
-        + monomial(Fraction(3, 2), 1, order) * e1**3 * e9**3 * inv3sq
-        + e1**6 * inv3sq * Fraction(1, 12)
-        - Fraction(1, 12)
-    )
+        monomial(Fraction(27, 4), 2, order).qmul(1, 9, 9, None, 6)
+        + monomial(Fraction(3, 2), 1, order).qmul(1, 1, 1, None, 3).qmul(1, 9, 9, None, 3)
+        + one(order).qmul(1, 1, 1, None, 6) * Fraction(1, 12)
+    ).qmul(1, 3, 3, None, -2) - Fraction(1, 12)
     n2q3 = partitions.second_rank_moment_series(order).substitute_power(3)
-    rhs = inv3 * bracket + n2q3
+    rhs = bracket.qmul(1, 3, 3, None, -1) + n2q3
     return _coeffs(lhs, rhs, order)
 
 
 def _chk_i19(order, bound):
-    e1 = poch(1, 1, 1, None, order)
-    inv3 = poch(1, 3, 3, None, order).invert()
     n2q3 = partitions.second_rank_moment_series(order).substitute_power(3)
-    rhs = e1**6 * inv3**3 * Fraction(1, 12) - inv3 * Fraction(1, 12) + n2q3
+    bracket = one(order).qmul(1, 1, 1, None, 6).qmul(1, 3, 3, None, -2) - 1
+    rhs = bracket.qmul(1, 3, 3, None, -1) * Fraction(1, 12) + n2q3
     diff = partitions.spt23_series(order) - rhs
     return ((k, diff[k], 0, 3) for k in range(order + 1))
 

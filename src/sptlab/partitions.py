@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
-from .series import Series, integral, monomial, one, poch, zero
+from .series import Series, integral, monomial, zero
 
 Partition = tuple[int, ...]
 
@@ -115,9 +115,7 @@ def rank_moment_tail(order: int) -> Series:
     while k * (3 * k + 1) // 2 <= order:
         e = k * (3 * k + 1) // 2
         sign = -1 if k % 2 else 1
-        geom = (one(order) - monomial(1, k, order)).invert()
-        binom = one(order) + monomial(1, k, order)
-        total += monomial(sign, e, order) * binom * geom * geom
+        total += monomial(sign, e, order).qmul(-1, k, 1, 1).qmul(1, k, 1, 1, -2)
         k += 1
     return total
 
@@ -126,7 +124,7 @@ def rank_moment_tail(order: int) -> Series:
 def second_rank_moment_series(order: int) -> Series:
     """Generating function of the second rank moments, -2/(q;q)_inf times the
     tail sum; must reproduce the enumeration route coefficientwise."""
-    return rank_moment_tail(order) * poch(1, 1, 1, None, order).invert() * -2
+    return rank_moment_tail(order).qmul(1, 1, 1, None, -1) * -2
 
 
 @lru_cache(maxsize=None)
@@ -142,8 +140,7 @@ def spt_series(order: int) -> Series:
     """sum_{n>=1} q^n / ((1 - q^n) (q^n;q)_inf), truncated."""
     total = zero(order)
     for n in range(1, order + 1):
-        den = (one(order) - monomial(1, n, order)) * poch(1, n, 1, None, order)
-        total += monomial(1, n, order) * den.invert()
+        total += monomial(1, n, order).qmul(1, n, 1, 1, -1).qmul(1, n, 1, None, -1)
     return total
 
 
@@ -173,12 +170,8 @@ def spt23_series(order: int) -> Series:
     """sum_{n>=1} q^n / ((1-q^n) (q^n;q)_n (q^(3n);q^3)_inf), truncated."""
     total = zero(order)
     for n in range(1, order + 1):
-        den = (
-            (one(order) - monomial(1, n, order))
-            * poch(1, n, 1, n, order)
-            * poch(1, 3 * n, 3, None, order)
-        )
-        total += monomial(1, n, order) * den.invert()
+        term = monomial(1, n, order).qmul(1, n, 1, 1, -1).qmul(1, n, 1, n, -1)
+        total += term.qmul(1, 3 * n, 3, None, -1)
     return total
 
 
@@ -192,7 +185,7 @@ def xi_series(order: int) -> Series:
     from .theta import a_lattice  # the lone upward edge; imported lazily
 
     a = a_lattice(order)
-    series = (a * a - 1) * poch(1, 3, 3, None, order).invert() * Fraction(1, 12)
+    series = (a * a - 1).qmul(1, 3, 3, None, -1) * Fraction(1, 12)
     for k, c in enumerate(series.coeffs):
         integral(c, k)
     return series

@@ -47,7 +47,7 @@ class Series:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Iterable[Rational], order: int | None = None):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+        cs = [c if isinstance(c, Fraction) else exact(c) for c in coeffs]
         if order is not None:
             if order < 0:
                 raise ValueError("order must be non-negative")
@@ -174,6 +174,39 @@ class Series:
             g[n] = -inv0 * acc
         return Series(g)
 
+    def qmul(self, c: Rational, start: int, step: int, count: int | None, power: int = 1) -> Series:
+        """self * prod_j (1 - c*q^(start + j*step))^power, one binomial at a time.
+
+        ``count`` is the number of factors; None means the infinite product, in
+        which case only factors with exponent <= order are applied (the rest
+        are 1 + O(q^(order+1)), so the truncation is exact, not approximate).
+        An infinite product needs start >= 1 to stabilize termwise.
+        """
+        if step < 1:
+            raise ValueError("step must be a positive integer")
+        if start < 0:
+            raise ValueError("start exponent must be non-negative")
+        if count is None and start == 0:
+            raise ValueError("divergent product: infinitely many factors at q^0")
+        if count is not None and count < 0:
+            raise ValueError("factor count must be non-negative")
+        if power < 0 and start == 0 and count != 0:
+            raise ValueError("cannot divide by a factor at q^0 in place")
+        order = self.order
+        last = order if count is None else min(order, start + (count - 1) * step)
+        # multiply by (1 - c*q^e): c_k -= c*c_(k-e), scanning k downward;
+        # divide by it: c_k += c*c_(k-e), scanning upward over updated values
+        d = -exact(c) if power > 0 else exact(c)
+        coeffs = list(self._coeffs)
+        for e in range(start, last + 1, step):
+            ks = range(order, e - 1, -1) if power > 0 else range(e, order + 1)
+            for _ in range(abs(power)):
+                for k in ks:
+                    ck = coeffs[k - e]
+                    if ck:
+                        coeffs[k] += d * ck
+        return Series(coeffs)
+
     # -- structural operations ----------------------------------------------
 
     def substitute_power(self, k: int) -> Series:
@@ -242,6 +275,13 @@ class Series:
         return f"Series({body}; order={self.order})"
 
 
+def exact(c: Rational) -> Fraction:
+    """c as a Fraction; anything but an int or a Fraction (a float, say) is a TypeError."""
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"exact values are int or Fraction, not {type(c).__name__}")
+    return Fraction(c)
+
+
 def residue(c: Rational, p: int, index: int) -> int:
     """c mod p for a p-integral rational a/b (p does not divide b): a * b^-1 mod p.
 
@@ -265,7 +305,7 @@ def monomial(c: Rational, k: int, order: int) -> Series:
     if not 0 <= k <= order:
         raise ValueError(f"exponent {k} out of range for order {order}")
     coeffs = [_ZERO] * (order + 1)
-    coeffs[k] = Fraction(c)
+    coeffs[k] = c
     return Series(coeffs)
 
 
@@ -278,38 +318,12 @@ def zero(order: int) -> Series:
 
 
 def poch(c: Rational, start: int, step: int, count: int | None, order: int) -> Series:
-    """q-Pochhammer-style product prod_j (1 - c*q^(start + j*step)).
+    """q-Pochhammer-style product prod_j (1 - c*q^(start + j*step)) through q^order.
 
-    ``count`` is the number of factors; None means the infinite product, in
-    which case only factors with exponent <= order are multiplied (the rest
-    are 1 + O(q^(order+1)), so the truncation is exact, not approximate).
-    An infinite product needs start >= 1 to stabilize termwise.
-
+    The factors, and the rules on them, are those of ``Series.qmul``.
     Examples: (a;q)_n = poch(a, 0, 1, n, N); (q^3;q^3)_inf = poch(1, 3, 3, None, N).
     """
-    if step < 1:
-        raise ValueError("step must be a positive integer")
-    if start < 0:
-        raise ValueError("start exponent must be non-negative")
-    if count is None:
-        if start == 0:
-            raise ValueError("divergent product: infinitely many factors at q^0")
-        count = max(0, (order - start) // step + 1)
-    elif count < 0:
-        raise ValueError("factor count must be non-negative")
-    c = Fraction(c)
-    coeffs = [_ZERO] * (order + 1)
-    coeffs[0] = _ONE
-    for j in range(count):
-        e = start + j * step
-        if e > order:
-            break
-        # in-place multiply by (1 - c*q^e); downward scan keeps it exact
-        for k in range(order, e - 1, -1):
-            ck = coeffs[k - e]
-            if ck:
-                coeffs[k] -= c * ck
-    return Series(coeffs)
+    return one(order).qmul(c, start, step, count)
 
 
 def lambert(weight: int, base: int, order: int) -> Series:

@@ -15,7 +15,7 @@ from functools import lru_cache
 from math import isqrt
 
 from .partitions import p3, p_count, sigma
-from .series import Series, monomial, poch
+from .series import Series, monomial, one
 
 _TABLE_CHUNK = 60
 
@@ -88,13 +88,10 @@ def a_lambert(order: int, first_index: int = 0) -> Series:
 
 def a_eta(order: int) -> Series:
     """a(q) as the eta quotient 9q (q^9;q^9)_inf^3/(q^3;q^3)_inf + (q;q)_inf^3/(q^3;q^3)_inf."""
-    e1 = poch(1, 1, 1, None, order)
-    inv3 = poch(1, 3, 3, None, order).invert()
-    total = e1**3 * inv3
+    total = one(order).qmul(1, 1, 1, None, 3)
     if order >= 1:
-        e9 = poch(1, 9, 9, None, order)
-        total += monomial(9, 1, order) * e9**3 * inv3
-    return total
+        total += monomial(9, 1, order).qmul(1, 9, 9, None, 3)
+    return total.qmul(1, 3, 3, None, -1)
 
 
 def R_lattice(k: int) -> int:

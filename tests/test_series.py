@@ -140,6 +140,53 @@ class TestPoch:
         assert f.coeffs == (1, Fraction(-1, 2), 0, 0)
 
 
+class TestQmul:
+    @settings(deadline=None, max_examples=80)
+    @given(
+        coeff_lists,
+        rationals,
+        st.integers(1, 3),
+        st.none() | st.integers(0, 5),
+        st.integers(-3, 3),
+        st.data(),
+    )
+    def test_matches_the_dense_route(self, cs, c, step, count, power, data):
+        # an infinite product and a division both need the factors to start at q^1
+        start = data.draw(st.integers(1 if power < 0 or count is None else 0, 4))
+        s = Series(cs)
+        factor = poch(c, start, step, count, s.order)
+        if power < 0:
+            factor = factor.invert()
+        expected = s
+        for _ in range(abs(power)):
+            expected = expected * factor
+        assert s.qmul(c, start, step, count, power) == expected
+
+    def test_dividing_by_a_factor_at_q0_rejected(self):
+        with pytest.raises(ValueError):
+            one(4).qmul(2, 0, 1, 1, -1)
+        with pytest.raises(ValueError):
+            Series([1, 2, 3]).qmul(Fraction(1, 2), 0, 1, 3, -2)
+
+
+class TestExactInputs:
+    def test_floats_are_rejected(self):
+        from sptlab.bailey import lemma_sides, slater_j1
+
+        with pytest.raises(TypeError):
+            Series([0.1])
+        with pytest.raises(TypeError):
+            monomial(0.1, 0, 2)
+        with pytest.raises(TypeError):
+            poch(0.1, 1, 1, 1, 2)
+        with pytest.raises(TypeError):
+            lemma_sides(slater_j1(6, 6), 0.1, -1, 6)
+        with pytest.raises(TypeError):
+            lemma_sides(slater_j1(6, 6), -1, 0.1, 6)
+        with pytest.raises(TypeError):
+            one(2).qmul(0.5, 3, 1, 1)  # even a factor beyond the order
+
+
 class TestSubstitutePower:
     def test_basic(self):
         f = Series([1, 1], order=4)
