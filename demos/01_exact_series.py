@@ -1,6 +1,7 @@
 """Exact truncated series arithmetic: the carrier for everything else.
 
-Every coefficient is a fractions.Fraction, so results are identities
+A series stores int numerators over one shared denominator and hands its
+coefficients out as fractions.Fraction values, so results are identities
 through the truncation order, not approximations.
 """
 

@@ -134,9 +134,10 @@ def lemma_sides(pair: BaileyPair, z, y, order: int) -> tuple[Series, Series]:
 
     lhs = zero(order)
     total = zero(order)
+    weight = one(order)  # (z;q)_n (y;q)_n (q/zy)^n, shared by both sides
     for n in range(order + 1):
-        # (z;q)_n (y;q)_n (q/zy)^n, shared by both sides
-        weight = monomial(w**n, n, order).qmul(z, 0, 1, n).qmul(y, 0, 1, n)
+        if n:
+            weight = (monomial(w, 1, order) * weight).qmul(z, n - 1, 1, 1).qmul(y, n - 1, 1, 1)
         lhs += weight * pair.beta[n]
         if not pair.alpha[n].is_zero():
             total += (pair.alpha[n] * weight).qmul(1 / z, 1, 1, n, -1).qmul(1 / y, 1, 1, n, -1)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
-from .series import Series, integral, monomial, zero
+from .series import Series, integral, monomial, one, zero
 
 Partition = tuple[int, ...]
 
@@ -137,10 +137,16 @@ def spt(n: int) -> int:
 
 @lru_cache(maxsize=None)
 def spt_series(order: int) -> Series:
-    """sum_{n>=1} q^n / ((1 - q^n) (q^n;q)_inf), truncated."""
+    """sum_{n>=1} q^n / ((1 - q^n) (q^n;q)_inf), truncated.
+
+    1/(q^n;q)_inf is stepped down from 1/(q^(n+1);q)_inf by one binomial;
+    every factor past q^order is 1 through the truncation.
+    """
     total = zero(order)
-    for n in range(1, order + 1):
-        total += monomial(1, n, order).qmul(1, n, 1, 1, -1).qmul(1, n, 1, None, -1)
+    tail = one(order)  # 1/(q^(order+1);q)_inf
+    for n in range(order, 0, -1):
+        tail = tail.qmul(1, n, 1, 1, -1)
+        total += (monomial(1, n, order) * tail).qmul(1, n, 1, 1, -1)
     return total
 
 

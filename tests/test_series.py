@@ -237,6 +237,12 @@ class TestReduceMod:
             Series([1, Fraction(1, 12)]).reduce_mod(3)
         assert err.value.index == 1
 
+    def test_modulus_sharing_a_factor_with_a_denominator(self):
+        with pytest.raises(NonIntegralError) as err:
+            Series([Fraction(1, 2), 1]).reduce_mod(4)
+        assert err.value.index == 0
+        assert err.value.requirement == "4-integral"
+
     def test_series_residues(self):
         f = Series([5, Fraction(2, 5), -1])
         assert f.reduce_mod(3) == (2, 1, 2)
