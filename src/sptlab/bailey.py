@@ -132,15 +132,13 @@ def lemma_sides(pair: BaileyPair, z, y, order: int) -> tuple[Series, Series]:
         )
     w = 1 / (z * y)  # (q/zy)^n contributes w^n q^n
 
-    lhs = zero(order)
-    total = zero(order)
-    weight = one(order)  # (z;q)_n (y;q)_n (q/zy)^n, shared by both sides
-    for n in range(order + 1):
-        if n:
-            weight = (monomial(w, 1, order) * weight).qmul(z, n - 1, 1, 1).qmul(y, n - 1, 1, 1)
-        lhs += weight * pair.beta[n]
-        if not pair.alpha[n].is_zero():
-            total += (pair.alpha[n] * weight).qmul(1 / z, 1, 1, n, -1).qmul(1 / y, 1, 1, n, -1)
+    def step(acc, n):  # w q (1 - z q^n)(1 - y q^n) acc: term n+1 over term n
+        return (monomial(w, 1, order) * acc).qmul(z, n, 1, 1).qmul(y, n, 1, 1)
+
+    lhs = total = zero(order)  # both sums nested from the top: acc_n = term_n + step(acc_(n+1), n)
+    for n in range(order, -1, -1):
+        lhs = pair.beta[n] + step(lhs, n)
+        total = pair.alpha[n] + step(total, n).qmul(1 / z, n + 1, 1, 1, -1).qmul(1 / y, n + 1, 1, 1, -1)
 
     rhs = total.qmul(1 / z, 1, 1, None).qmul(1 / y, 1, 1, None)
     return lhs, rhs.qmul(1, 1, 1, None, -1).qmul(w, 1, 1, None, -1)
@@ -158,15 +156,15 @@ def derivative_identity_sides(pair: BaileyPair, order: int) -> tuple[Series, Ser
         raise ValueError(
             f"truncation shortfall: n_max={pair.n_max} < order={order}"
         )
-    lhs = zero(order)
-    for n in range(1, order + 1):
-        lhs += (monomial(1, n, order) * pair.beta[n]).qmul(1, 1, 1, n - 1, 2)
+    lhs = zero(order)  # nested from the top: acc_n = q^n beta_n + (1 - q^n)^2 acc_(n+1)
+    for n in range(order, 0, -1):
+        lhs = monomial(1, n, order) * pair.beta[n] + lhs.qmul(1, n, 1, 1, 2)
 
     rhs = pair.alpha[0] * lambert(1, 1, order)
     for n in range(1, order + 1):
         if pair.alpha[n].is_zero():
             continue
-        rhs += (pair.alpha[n] * monomial(1, n, order)).qmul(1, n, 1, 1, -2)
+        rhs += (monomial(1, n, order) * pair.alpha[n]).qmul(1, n, 1, 1, -2)
     return lhs, rhs
 
 

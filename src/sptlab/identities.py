@@ -236,18 +236,17 @@ def _chk_i12(order, bound):
 
 
 def _chk_i13(order, bound):
-    return (
-        (n, n * partitions.p_count(n),
-         sum(partitions.p_count(k) * partitions.sigma(1, n - k) for k in range(n)))
-        for n in range(1, order + 1)
-    )
+    sigma1 = [partitions.sigma(1, n) for n in range(order + 1)]
+    for n in range(1, order + 1):
+        yield n, n * partitions.p_count(n), sum(partitions.p_count(k) * sigma1[n - k] for k in range(n))
 
 
 def _chk_i14(order, bound):
     s23 = partitions.spt23_series(order)
     n2 = partitions.second_rank_moment_series(order)
+    sigma1 = [partitions.sigma(1, 3 * j) for j in range(order // 3 + 1)]
     for m in range(1, order // 3 + 1):
-        total = sum(partitions.p_count(k) * partitions.sigma(1, 3 * (m - k)) for k in range(m + 1))
+        total = sum(partitions.p_count(k) * sigma1[m - k] for k in range(m + 1))
         yield 3 * m, s23[3 * m], total - Fraction(n2[m], 2)
 
 
@@ -452,7 +451,7 @@ def export_sequence(name: str, upto: int, fmt: str = "csv", path=None) -> str:
     write it to ``path``.  Returns the rendered text."""
     values = sequence_values(name, upto)
     if fmt == "csv":
-        text = "\n".join(f"{n},{v}" for n, v in values) + "\n"
+        text = "".join(f"{n},{v}\n" for n, v in values)
     elif fmt == "json":
         text = json.dumps(
             {"name": name, "values": [[n, str(v)] for n, v in values]}, indent=2

@@ -173,11 +173,13 @@ def spt23(n: int) -> int:
 
 @lru_cache(maxsize=None)
 def spt23_series(order: int) -> Series:
-    """sum_{n>=1} q^n / ((1-q^n) (q^n;q)_n (q^(3n);q^3)_inf), truncated."""
+    """sum_{n>=1} q^n A_n / (1-q^n), A_n = 1/((q^n;q)_n (q^(3n);q^3)_inf), truncated;
+    A_n is stepped down from A_(order+1) = 1 by (1-q^(2n))(1-q^(2n+1)) / ((1-q^n)(1-q^(3n)))."""
     total = zero(order)
-    for n in range(1, order + 1):
-        term = monomial(1, n, order).qmul(1, n, 1, 1, -1).qmul(1, n, 1, n, -1)
-        total += term.qmul(1, 3 * n, 3, None, -1)
+    tail = one(order)
+    for n in range(order, 0, -1):
+        tail = tail.qmul(1, 2 * n, 1, 2).qmul(1, n, 1, 1, -1).qmul(1, 3 * n, 1, 1, -1)
+        total += (monomial(1, n, order) * tail).qmul(1, n, 1, 1, -1)
     return total
 
 

@@ -4,6 +4,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sptlab.bailey import (
     BaileyPair,
@@ -21,6 +23,7 @@ from sptlab.partitions import (
     spt23_series,
 )
 from sptlab.series import Series, lambert, monomial, one, poch, zero
+from test_dense_reference import ref_derivative_identity_sides
 
 
 def unit_pair(n_max: int, order: int) -> BaileyPair:
@@ -160,6 +163,49 @@ class TestLemmaSpecialization:
         pair = slater_j1(5, 20)
         with pytest.raises(ValueError, match="shortfall"):
             lemma_sides(pair, -1, -1, 20)
+
+
+rationals = st.builds(Fraction, st.integers(-9, 9), st.sampled_from((1, 2, 3, 4, 12)))
+# nonzero, and not 1: z = 1 or y = 1 is the degenerate specialization
+parameters = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)).filter(
+    lambda c: c not in (0, 1)
+)
+
+
+@st.composite
+def arbitrary_pairs(draw):
+    """Random alpha_n and beta_n at every n <= order, tied by no defining
+    relation; alpha_n is nonzero off multiples of 3, where J(1) has zeros
+    that could hide an index slip in the alpha step."""
+    order = draw(st.integers(8, 16))
+
+    def row(nonzero):
+        cs = draw(st.lists(rationals, min_size=1, max_size=order + 1))
+        if nonzero and not any(cs):
+            cs[0] = Fraction(1)
+        return Series(cs, order)
+
+    alpha = tuple(row(n % 3) for n in range(order + 1))
+    beta = tuple(row(False) for _ in range(order + 1))
+    return BaileyPair(alpha, beta), order
+
+
+class TestNestedSumsOnArbitraryTables:
+    @settings(deadline=None, max_examples=30)
+    @given(arbitrary_pairs(), parameters, parameters)
+    def test_lemma_sides_match_the_two_loop_reference(self, drawn, z, y):
+        pair, order = drawn
+        sides = lemma_sides(pair, z, y, order)
+        for side, ref in zip(sides, reference_lemma_sides(pair, z, y, order)):
+            assert side.coeffs == ref.coeffs
+
+    @settings(deadline=None, max_examples=30)
+    @given(arbitrary_pairs())
+    def test_derivative_sides_match_the_dense_reference(self, drawn):
+        pair, order = drawn
+        sides = derivative_identity_sides(pair, order)
+        for side, ref in zip(sides, ref_derivative_identity_sides(pair, order)):
+            assert side.coeffs == ref.coeffs
 
 
 class TestDerivativeIdentity:

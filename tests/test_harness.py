@@ -1,5 +1,7 @@
 """Registry behaviour, result schema, sequence export, and the CLI surface."""
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -76,6 +78,17 @@ class TestRun:
         for order in (12, 16, 20):
             assert identities.run("I8", order, 12).status == "pass"
             assert identities.run("I2", order, 12).status == "pass"
+
+    def test_no_check_passes_on_an_empty_case_stream(self):
+        # I4 yields a case only when the pair relation fails, by design;
+        # every other check must compare something even at the minimum order
+        for meta, check, erratum in identities._REGISTRY:
+            cases = check(10, 1)[0] if erratum else check(10, 1)
+            count = sum(1 for _ in cases)
+            if meta.id == "I4":
+                assert count == 0
+            else:
+                assert count >= 1, meta.id
 
     def test_deterministic_apart_from_runtime(self):
         def strip(results):
@@ -245,6 +258,13 @@ class TestSequences:
     def test_values_match_modules(self):
         values = dict(identities.sequence_values("R", 12))
         assert values[0] == 1 and values[1] == 12
+
+    def test_empty_csv_has_no_rows(self):
+        # sigma1 starts at n = 1, so upto 0 selects no index
+        text = identities.export_sequence("sigma1", 0, "csv")
+        assert text == ""
+        assert list(csv.reader(io.StringIO(text))) == []
+        assert json.loads(identities.export_sequence("sigma1", 0, "json"))["values"] == []
 
     def test_sigma_sequences_start_at_one(self):
         assert identities.sequence_values("sigma1", 4)[0][0] == 1
