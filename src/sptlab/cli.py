@@ -76,15 +76,18 @@ def main(argv=None) -> int:
 
     v = sub.add_parser("verify", help="run the identity registry")
     v.add_argument("--id", help="run a single check (e.g. I3) instead of all 22")
-    v.add_argument("--order", type=int, default=None, help="series truncation order")
+    v.add_argument("--order", type=int, default=None,
+                   help=f"series truncation order, 10 to {identities.MAX_ORDER}")
     v.add_argument("--oracle-bound", type=int, default=None,
-                   help="max index for enumeration-backed comparisons")
+                   help="max index for enumeration-backed comparisons, "
+                        f"1 to {identities.MAX_ORACLE_BOUND}")
     v.add_argument("--format", choices=("json", "text"), default="text")
     v.add_argument("--output", help="write the report to a file instead of stdout")
 
     s = sub.add_parser("seq", help="export a named sequence")
     s.add_argument("name", choices=identities.SEQUENCE_NAMES)
-    s.add_argument("--upto", type=int, required=True, help="largest index to export")
+    s.add_argument("--upto", type=int, required=True,
+                   help=f"largest index to export, at most {identities.MAX_ORDER}")
     s.add_argument("--format", choices=("csv", "json"), default="csv")
     s.add_argument("--output", help="write to a file instead of stdout")
 

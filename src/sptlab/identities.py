@@ -29,6 +29,12 @@ from .series import NonIntegralError, Series, integral, lambert, monomial, one, 
 
 DEFAULT_ORDER = 60
 DEFAULT_ORACLE_BOUND = 40
+# Inputs past these caps would run for minutes or exhaust memory, so they are
+# refused up front: p(60) = 966,467 partitions take seconds to walk, p(80)
+# already 15.8 million; series work grows faster than the order squared, and
+# order 2000 takes seconds.
+MAX_ORACLE_BOUND = 60
+MAX_ORDER = 2000
 ORDER_ENV_VAR = "SPTLAB_ORDER"
 
 
@@ -361,8 +367,12 @@ def run(check_id: str, order: int | None = None, oracle_bound: int | None = None
     b = meta.oracle_bound if oracle_bound is None else oracle_bound
     if n < 10:
         raise ValueError("order must be at least 10")
+    if n > MAX_ORDER:
+        raise ValueError(f"order must be at most {MAX_ORDER}")
     if b < 1:
         raise ValueError("oracle bound must be at least 1")
+    if b > MAX_ORACLE_BOUND:
+        raise ValueError(f"oracle bound must be at most {MAX_ORACLE_BOUND}")
     t0 = time.perf_counter()
     diagnostic = None
     try:
@@ -439,6 +449,8 @@ def sequence_values(name: str, upto: int) -> list[tuple[int, Fraction]]:
     """The named sequence as (index, value) pairs, up to and including upto."""
     if upto < 0:
         raise ValueError("upto must be non-negative")
+    if upto > MAX_ORDER:
+        raise ValueError(f"upto must be at most {MAX_ORDER}")
     if name not in _SEQUENCES:
         raise ValueError(f"unknown sequence name: {name!r}")
     first, values = _SEQUENCES[name]

@@ -19,17 +19,53 @@ Partition = tuple[int, ...]
 
 
 def enumerate_partitions(n: int, max_part: int | None = None) -> Iterator[Partition]:
-    """Yield every partition of n exactly once, parts non-increasing."""
+    """Yield every partition of n exactly once, parts non-increasing and
+    at most max_part, in decreasing lexicographic order.
+
+    This is ZS1 (A. Zoghbi and I. Stojmenovic, Int. J. Comput. Math. 70,
+    1998): one list updated in place, no recursion.  It starts from the
+    largest partition (k, ..., k, r) with parts <= k.  Each step lowers the
+    last part above 1 by one and refills the tail greedily with parts of
+    that new size; the walk ends at (1, ..., 1).
+    """
     if n < 0:
         raise ValueError("cannot partition a negative integer")
     if n == 0:
         yield ()
         return
-    if max_part is None or max_part > n:
-        max_part = n
-    for first in range(max_part, 0, -1):
-        for rest in enumerate_partitions(n - first, first):
-            yield (first,) + rest
+    k = n if max_part is None or max_part > n else max_part
+    if k < 1:
+        return
+    q, r = divmod(n, k)
+    x = [k] * q + [1] * (n - q)  # x[:m + 1] is the partition, x[h] its last part > 1
+    m = h = q - 1
+    if r:
+        m = q
+        x[q] = r
+        if r > 1:
+            h = q
+    yield tuple(x[: m + 1])
+    while x[0] != 1:
+        if x[h] == 2:
+            m += 1
+            x[h] = 1
+            h -= 1
+        else:
+            r = x[h] - 1
+            t = m - h + 1  # the units to share out after x[h]
+            x[h] = r
+            while t >= r:
+                h += 1
+                x[h] = r
+                t -= r
+            if t == 0:
+                m = h
+            else:
+                m = h + 1
+                if t > 1:
+                    h += 1
+                    x[h] = t
+        yield tuple(x[: m + 1])
 
 
 _P_CACHE = [1]
@@ -156,7 +192,12 @@ def qualifies(parts: Partition) -> bool:
     if not parts:
         raise ValueError("qualification needs a nonempty partition")
     s = parts[-1]
-    return all(p < 2 * s or (p % 3 == 0 and p >= 3 * s) for p in parts)
+    for p in parts:  # non-increasing, so the parts >= 2s come first
+        if p < 2 * s:
+            return True
+        if p % 3 or p < 3 * s:
+            return False
+    return True
 
 
 @lru_cache(maxsize=None)

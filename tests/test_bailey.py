@@ -40,7 +40,8 @@ def unit_pair(n_max: int, order: int) -> BaileyPair:
 def reference_lemma_sides(pair: BaileyPair, z, y, order: int) -> tuple[Series, Series]:
     """Both sides of Bailey's lemma at (z, y), a = 1, each summed in its own
     loop that builds (z;q)_n (y;q)_n (q/zy)^n afresh: the differential
-    reference for ``lemma_sides``, which builds that weight once per n."""
+    reference for ``lemma_sides``, which builds no weight and nests both
+    sums from n = order down by Horner's rule."""
     z, y = Fraction(z), Fraction(y)
     w = 1 / (z * y)
 

@@ -58,6 +58,20 @@ class TestRun:
         with pytest.raises(ValueError):
             identities.run("I1", 20, 0)
 
+    def test_oracle_bound_cap(self):
+        cap = identities.MAX_ORACLE_BOUND
+        with pytest.raises(ValueError, match=f"oracle bound must be at most {cap}"):
+            identities.run("I11", 12, cap + 1)
+        assert identities.run("I1", 12, cap).status == "pass"  # I1 reads no oracle
+
+    def test_order_cap(self):
+        cap = identities.MAX_ORDER
+        with pytest.raises(ValueError, match=f"order must be at most {cap}"):
+            identities.run("I1", cap + 1)
+        with pytest.raises(ValueError, match=f"upto must be at most {cap}"):
+            identities.sequence_values("spt23", cap + 1)
+        assert identities.sequence_values("p", cap)[-1][0] == cap
+
     def test_single_run_passes(self):
         r = identities.run("I3", 12, 12)
         assert r.status == "pass"
@@ -281,6 +295,7 @@ def run_cli(*args, env_extra=None):
         capture_output=True,
         text=True,
         env=env,
+        timeout=120,  # an input that should be refused must not hang the suite
     )
 
 
@@ -334,6 +349,24 @@ class TestCli:
     def test_coeff_missing_index_fails(self):
         proc = run_cli("coeff", "spt23", "0")  # sequence starts at n = 1
         assert proc.returncode != 0
+
+    def test_oracle_bound_past_the_cap_exits_with_message(self):
+        proc = run_cli("verify", "--order", "12", "--oracle-bound", "61")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.strip() == "oracle bound must be at most 60"
+
+    def test_huge_orders_fail_fast(self):
+        runs = [
+            (("coeff", "spt23", "100000"), None, "upto"),
+            (("seq", "spt", "--upto", "2001"), None, "upto"),
+            (("verify", "--order", "2001"), None, "order"),
+            (("verify", "--id", "I1"), {identities.ORDER_ENV_VAR: "100000"}, "order"),
+        ]
+        for args, env, what in runs:
+            proc = run_cli(*args, env_extra=env)
+            assert proc.returncode == 1, args
+            assert proc.stderr.strip() == f"{what} must be at most 2000", args
 
     def test_verify_report_to_file(self, tmp_path):
         target = tmp_path / "report.json"

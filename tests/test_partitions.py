@@ -1,14 +1,19 @@
 """Partition statistics: enumeration oracles against generating functions."""
 
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
 from conftest import (
     ascending_partitions,
     brute_sigma,
+    counted_rank_counts,
+    counted_spt,
+    counted_spt23,
     dp_partition_count,
     dp_partition_count_parts_mult3,
+    recursive_partitions,
 )
 from sptlab.partitions import (
     enumerate_partitions,
@@ -54,6 +59,42 @@ class TestEnumeration:
         for parts in enumerate_partitions(9):
             assert all(a >= b for a, b in zip(parts, parts[1:]))
             assert sum(parts) == 9
+
+
+class TestZS1:
+    """The non-recursive walk against the recursive generator it replaced."""
+
+    def test_same_sequence_as_the_recursive_reference(self):
+        for n in range(26):
+            assert list(enumerate_partitions(n)) == list(recursive_partitions(n))
+
+    def test_every_max_part_matches_the_reference(self):
+        for n in range(13):
+            for max_part in range(n + 2):
+                assert list(enumerate_partitions(n, max_part)) == list(
+                    recursive_partitions(n, max_part)
+                ), (n, max_part)
+
+    def test_long_partitions_need_no_recursion(self):
+        # the recursive generator stacked one frame per part
+        assert list(enumerate_partitions(5000, 1)) == [(1,) * 5000]
+        assert list(islice(enumerate_partitions(5000, 2), 2)) == [
+            (2,) * 2500,
+            (2,) * 2499 + (1, 1),
+        ]
+
+    def test_qualifies_matches_the_literal_rule(self):
+        for n in range(1, 23):
+            for parts in enumerate_partitions(n):
+                s = parts[-1]
+                literal = all(p < 2 * s or (p % 3 == 0 and p >= 3 * s) for p in parts)
+                assert qualifies(parts) == literal, parts
+
+    def test_oracles_match_the_counting_reference(self):
+        for n in range(1, 41):
+            assert spt(n) == counted_spt(n), n
+            assert spt23(n) == counted_spt23(n), n
+            assert rank_counts(n) == counted_rank_counts(n), n
 
 
 class TestCounting:
