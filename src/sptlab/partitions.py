@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
-from .series import Series, integral, monomial, one, zero
+from .series import Series, integral, monomial, one, prefix_cache, zero
 
 Partition = tuple[int, ...]
 
@@ -139,7 +139,7 @@ def second_rank_moment(n: int) -> int:
     return sum(m * m * c for m, c in _rank_count_items(n))
 
 
-@lru_cache(maxsize=None)
+@prefix_cache
 def rank_moment_tail(order: int) -> Series:
     """sum_{k>=1} (-1)^k q^(k(3k+1)/2) (1+q^k) / (1-q^k)^2, truncated.
 
@@ -156,7 +156,7 @@ def rank_moment_tail(order: int) -> Series:
     return total
 
 
-@lru_cache(maxsize=None)
+@prefix_cache
 def second_rank_moment_series(order: int) -> Series:
     """Generating function of the second rank moments, -2/(q;q)_inf times the
     tail sum; must reproduce the enumeration route coefficientwise."""
@@ -171,7 +171,7 @@ def spt(n: int) -> int:
     return sum(parts.count(parts[-1]) for parts in enumerate_partitions(n))
 
 
-@lru_cache(maxsize=None)
+@prefix_cache
 def spt_series(order: int) -> Series:
     """sum_{n>=1} q^n / ((1 - q^n) (q^n;q)_inf), truncated.
 
@@ -212,7 +212,7 @@ def spt23(n: int) -> int:
     )
 
 
-@lru_cache(maxsize=None)
+@prefix_cache
 def spt23_series(order: int) -> Series:
     """sum_{n>=1} q^n A_n / (1-q^n), A_n = 1/((q^n;q)_n (q^(3n);q^3)_inf), truncated;
     A_n is stepped down from A_(order+1) = 1 by (1-q^(2n))(1-q^(2n+1)) / ((1-q^n)(1-q^(3n)))."""
@@ -224,7 +224,7 @@ def spt23_series(order: int) -> Series:
     return total
 
 
-@lru_cache(maxsize=None)
+@prefix_cache
 def xi_series(order: int) -> Series:
     """(a(q)^2 - 1) / 12 expanded over (q^3;q^3)_inf.
 

@@ -15,12 +15,16 @@ to the smaller one -- coefficients are never padded with fabricated zeros.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
+from functools import wraps
 from math import gcd, lcm
 from operator import add, mul, sub
+from threading import Lock
 from typing import Iterable, Union
 
 Rational = Union[int, Fraction]
+CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
 class NonUnitError(ZeroDivisionError):
@@ -394,6 +398,38 @@ def one(order: int) -> Series:
 
 def zero(order: int) -> Series:
     return Series([0], order)
+
+
+def prefix_cache(build):
+    """Memoize ``build(order)``, whose result at a smaller order is its own
+    ``truncate(order)``, by the largest result built.  Any order outside
+    0..that order goes to ``build``, which validates it; only a larger result
+    replaces the kept one, so re-entrant or threaded calls cannot shrink it."""
+    kept = None  # (order, result)
+    hits = misses = 0
+    lock = Lock()
+
+    @wraps(build)
+    def cached(order):
+        nonlocal kept, hits, misses
+        held = kept
+        if held is not None and 0 <= order <= held[0]:
+            hits += 1
+            return held[1] if order == held[0] else held[1].truncate(order)
+        misses += 1
+        result = build(order)
+        with lock:
+            if kept is None or order > kept[0]:
+                kept = (order, result)
+        return result
+
+    def cache_clear():
+        nonlocal kept, hits, misses
+        kept, hits, misses = None, 0, 0
+
+    cached.cache_info = lambda: CacheInfo(hits, misses, 1, int(kept is not None))
+    cached.cache_clear = cache_clear
+    return cached
 
 
 def poch(c: Rational, start: int, step: int, count: int | None, order: int) -> Series:

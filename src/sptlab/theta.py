@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import isqrt
 
 from .partitions import p3, p_count, sigma
-from .series import Series, monomial, one
+from .series import Series, monomial, one, prefix_cache
 
 _TABLE_CHUNK = 60
 
@@ -28,8 +27,14 @@ class LatticeCountTable:
     r2: tuple[int, ...]
     R: tuple[int, ...]
 
+    def truncate(self, bound: int) -> LatticeCountTable:
+        """The table up to a smaller bound; exact, as R(k) reads only r2[:k + 1]."""
+        if not 0 <= bound <= self.bound:
+            raise ValueError(f"cannot truncate a bound-{self.bound} table to {bound}")
+        return LatticeCountTable(bound, self.r2[: bound + 1], self.R[: bound + 1])
 
-@lru_cache(maxsize=None)
+
+@prefix_cache
 def lattice_table(bound: int) -> LatticeCountTable:
     """Enumerate n^2+nm+m^2 <= bound and convolve for the quaternary counts.
 

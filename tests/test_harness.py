@@ -221,6 +221,9 @@ class TestCaches:
         missing = [fn.__name__ for fn in memoized
                    if not (hasattr(fn, "cache_info") and hasattr(fn, "cache_clear"))]
         assert missing == []
+        for fn in memoized:  # the tracer counts a miss as a rise in .misses
+            info = fn.cache_info()
+            assert isinstance(info.hits, int) and isinstance(info.misses, int), fn.__name__
 
 
 class TestReportSchema:
