@@ -107,6 +107,15 @@ def verify_pair(pair: BaileyPair, order: int | None = None):
     return None
 
 
+def _require_depth(pair: BaileyPair, order: int) -> None:
+    """Sides through q^order need the rows n <= order, each tabulated through q^order."""
+    if pair.n_max < order or pair.order < order:
+        raise ValueError(
+            f"truncation shortfall: n_max={pair.n_max} and pair order={pair.order} "
+            f"must both reach order={order}"
+        )
+
+
 def lemma_sides(pair: BaileyPair, z, y, order: int) -> tuple[Series, Series]:
     """Both sides of Bailey's lemma at the numeric specialization (z, y), a = 1.
 
@@ -117,7 +126,7 @@ def lemma_sides(pair: BaileyPair, z, y, order: int) -> tuple[Series, Series]:
     z = 1 or y = 1 makes (z;q)_n or (y;q)_n vanish for n >= 1, so both sides
     collapse to their n = 0 terms; that is flagged as degenerate rather than
     reported as a meaningful match.  Every summand is O(q^n), so the pair
-    must be tabulated to n_max >= order.
+    must be tabulated to n_max >= order, each row through q^order.
     """
     z, y = exact(z), exact(y)
     if z == 0 or y == 0:
@@ -126,10 +135,7 @@ def lemma_sides(pair: BaileyPair, z, y, order: int) -> tuple[Series, Series]:
         raise DegenerateParameterError(
             "z = 1 or y = 1 zeroes every term with n >= 1 on both sides"
         )
-    if pair.n_max < order:
-        raise ValueError(
-            f"truncation shortfall: n_max={pair.n_max} < order={order}"
-        )
+    _require_depth(pair, order)
     w = 1 / (z * y)  # (q/zy)^n contributes w^n q^n
 
     def step(acc, n):  # w q (1 - z q^n)(1 - y q^n) acc: term n+1 over term n
@@ -150,12 +156,10 @@ def derivative_identity_sides(pair: BaileyPair, order: int) -> tuple[Series, Ser
     sum_{n>=1} (q;q)_{n-1}^2 beta_n q^n
         = alpha_0 sum_{n>=1} n q^n/(1-q^n) + sum_{n>=1} alpha_n q^n/(1-q^n)^2.
 
-    Summand n is O(q^n) on both sides, so n_max >= order suffices.
+    Summand n is O(q^n) on both sides, so n_max >= order suffices, each row
+    tabulated through q^order.
     """
-    if pair.n_max < order:
-        raise ValueError(
-            f"truncation shortfall: n_max={pair.n_max} < order={order}"
-        )
+    _require_depth(pair, order)
     lhs = zero(order)  # nested from the top: acc_n = q^n beta_n + (1 - q^n)^2 acc_(n+1)
     for n in range(order, 0, -1):
         lhs = monomial(1, n, order) * pair.beta[n] + lhs.qmul(1, n, 1, 1, 2)

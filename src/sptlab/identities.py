@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import chain
-from pathlib import Path
 
 from . import bailey, partitions, theta
 from .series import NonIntegralError, Series, integral, lambert, monomial, one, poch, residue, zero
@@ -458,18 +457,13 @@ def sequence_values(name: str, upto: int) -> list[tuple[int, Fraction]]:
     return [(n, Fraction(value(n))) for n in range(first, upto + 1)]
 
 
-def export_sequence(name: str, upto: int, fmt: str = "csv", path=None) -> str:
-    """Render the named sequence as index,value rows (csv) or JSON; optionally
-    write it to ``path``.  Returns the rendered text."""
+def export_sequence(name: str, upto: int, fmt: str = "csv") -> str:
+    """Render the named sequence as index,value rows (csv) or JSON."""
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"unknown export format: {fmt!r}")
     values = sequence_values(name, upto)
     if fmt == "csv":
-        text = "".join(f"{n},{v}\n" for n, v in values)
-    elif fmt == "json":
-        text = json.dumps(
-            {"name": name, "values": [[n, str(v)] for n, v in values]}, indent=2
-        ) + "\n"
-    else:
-        raise ValueError(f"unknown export format: {fmt!r}")
-    if path is not None:
-        Path(path).write_text(text)
-    return text
+        return "".join(f"{n},{v}\n" for n, v in values)
+    return json.dumps(
+        {"name": name, "values": [[n, str(v)] for n, v in values]}, indent=2
+    ) + "\n"

@@ -16,8 +16,6 @@ from math import isqrt
 from .partitions import p3, p_count, sigma
 from .series import Series, monomial, one, prefix_cache
 
-_TABLE_CHUNK = 60
-
 
 @dataclass(frozen=True)
 class LatticeCountTable:
@@ -60,12 +58,6 @@ def lattice_table(bound: int) -> LatticeCountTable:
     return LatticeCountTable(bound, tuple(r2), tuple(R))
 
 
-def _table_for(k: int) -> LatticeCountTable:
-    # round the bound up so scattered lookups share one cached table
-    bound = max(_TABLE_CHUNK, -(-k // _TABLE_CHUNK) * _TABLE_CHUNK)
-    return lattice_table(bound)
-
-
 def a_lattice(order: int) -> Series:
     """a(q) with the coefficient of q^k counted directly on the lattice."""
     return Series(lattice_table(order).r2)
@@ -103,7 +95,7 @@ def R_lattice(k: int) -> int:
     """Quaternary representation count of k, from the r2 self-convolution."""
     if k < 0:
         raise ValueError("R(k) needs k >= 0")
-    return _table_for(k).R[k]
+    return lattice_table(k).R[k]
 
 
 def R_closed(n: int) -> int:
@@ -113,25 +105,21 @@ def R_closed(n: int) -> int:
     return 12 * sigma(1, n) - 36 * sigma(1, Fraction(n, 3))
 
 
-def p3_convolution(n: int, table: LatticeCountTable | None = None) -> int:
+def p3_convolution(n: int, table: LatticeCountTable) -> int:
     """P3(n) = sum_{k=0..n} R(k) p3(n-k), with the k = 0 term (R(0) = 1) included."""
     if n < 0:
         raise ValueError("the convolution needs n >= 0")
-    if table is None:
-        table = _table_for(n)
-    elif table.bound < n:
+    if table.bound < n:
         raise ValueError(f"the lattice table has bound {table.bound}, index {n} is needed")
     R = table.R
     return sum(R[k] * p3(n - k) for k in range(n + 1))
 
 
-def p3_alt(m: int, table: LatticeCountTable | None = None) -> int:
+def p3_alt(m: int, table: LatticeCountTable) -> int:
     """sum_{k=0..m} R(3k) p(m-k); agrees with p3_convolution(3m)."""
     if m < 0:
         raise ValueError("the convolution needs m >= 0")
-    if table is None:
-        table = _table_for(3 * m)
-    elif table.bound < 3 * m:
+    if table.bound < 3 * m:
         raise ValueError(f"the lattice table has bound {table.bound}, index {3 * m} is needed")
     R = table.R
     return sum(R[3 * k] * p_count(m - k) for k in range(m + 1))

@@ -165,6 +165,10 @@ class TestLemmaSpecialization:
         with pytest.raises(ValueError, match="shortfall"):
             lemma_sides(pair, -1, -1, 20)
 
+    def test_pair_tabulated_below_the_order_rejected(self):
+        with pytest.raises(ValueError, match="shortfall"):
+            lemma_sides(slater_j1(10, 5), -1, -1, 10)
+
 
 rationals = st.builds(Fraction, st.integers(-9, 9), st.sampled_from((1, 2, 3, 4, 12)))
 # nonzero, and not 1: z = 1 or y = 1 is the degenerate specialization
@@ -243,6 +247,10 @@ class TestDerivativeIdentity:
     def test_truncation_shortfall_rejected(self):
         with pytest.raises(ValueError, match="shortfall"):
             derivative_identity_sides(slater_j1(6, 24), 24)
+
+    def test_pair_tabulated_below_the_order_rejected(self):
+        with pytest.raises(ValueError, match="shortfall"):
+            derivative_identity_sides(slater_j1(10, 5), 10)
 
 
 class TestPairSerialization:

@@ -260,17 +260,17 @@ class TestSequences:
         assert data["name"] == "xi"
         assert data["values"][-1] == [5, "9"]
 
-    def test_file_output(self, tmp_path):
-        path = tmp_path / "p.csv"
-        text = identities.export_sequence("p", 6, "csv", path)
-        assert path.read_text() == text
-        assert text.splitlines()[0] == "0,1"
-
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
             identities.export_sequence("nope", 5)
         with pytest.raises(ValueError):
             identities.export_sequence("spt23", 5, "xml")
+
+    def test_unknown_format_fails_before_building(self):
+        partitions.spt23_series.cache_clear()
+        with pytest.raises(ValueError, match="unknown export format"):
+            identities.export_sequence("spt23", 1500, "xml")
+        assert partitions.spt23_series.cache_info().misses == 0
 
     def test_values_match_modules(self):
         values = dict(identities.sequence_values("R", 12))

@@ -129,9 +129,10 @@ class TestClosedForm:
 
 class TestConvolutions:
     def test_p3_convolution_frozen(self):
-        assert p3_convolution(0) == 1
-        assert p3_convolution(1) == 12
-        assert p3_convolution(5) == 108
+        table = lattice_table(5)
+        assert p3_convolution(0, table) == 1
+        assert p3_convolution(1, table) == 12
+        assert p3_convolution(5, table) == 108
 
     def test_divisible_by_twelve_off_multiples_of_three(self):
         table = lattice_table(60)
@@ -147,7 +148,7 @@ class TestConvolutions:
                 assert p3_convolution(n, table) == 12 * spt23(n)
 
     def test_alt_form_frozen(self):
-        assert p3_alt(0) == 1
+        assert p3_alt(0, lattice_table(0)) == 1
 
     def test_alt_form_matches_convolution(self):
         table = lattice_table(60)
