@@ -8,6 +8,7 @@ through the truncation order, not approximations.
 from fractions import Fraction
 
 from sptlab import Series, monomial, one, poch
+from sptlab.series import residue
 
 N = 16
 
@@ -42,4 +43,5 @@ print()
 print("== substitution q -> q^3 and reduction mod 3 ==")
 sub = inv.substitute_power(3)
 print("p-series at q^3:", sub)
-print("residues mod 3 of 1 + q/2:", Series([1, Fraction(1, 2)]).reduce_mod(3))
+half = Series([1, Fraction(1, 2)])
+print("residues mod 3 of 1 + q/2:", tuple(residue(c, 3, k) for k, c in enumerate(half.coeffs)))

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
@@ -30,7 +29,6 @@ class DegenerateParameterError(ValueError):
 class BaileyPair:
     alpha: tuple[Series, ...]
     beta: tuple[Series, ...]
-    a: Fraction = Fraction(1)
 
     def __post_init__(self):
         if len(self.alpha) != len(self.beta) or not self.alpha:
@@ -92,8 +90,6 @@ def verify_pair(pair: BaileyPair, order: int | None = None):
     Returns None on success, else (n, k, left, right): the first pair index
     n and coefficient exponent k where beta_n differs from the alpha sum.
     """
-    if pair.a != 1:
-        raise ValueError("only pairs relative to a = 1 are supported")
     order = pair.order if order is None else min(order, pair.order)
     for n in range(1, pair.n_max + 1):
         rhs = zero(order)
@@ -176,7 +172,9 @@ def pair_from_json(source) -> BaileyPair:
     """Load a pair from the declarative JSON format.
 
     The object carries "n_max", "order", and "alpha"/"beta" as arrays of
-    coefficient-string arrays ("num/den", indexed from q^0).
+    coefficient-string arrays ("num/den", indexed from q^0).  Every row holds
+    exactly order + 1 coefficients: a short row is not padded with zeros and
+    a long one is not cut, so a truncated table cannot pass for an exact one.
     """
     if isinstance(source, (str, Path)):
         data = json.loads(Path(source).read_text())
@@ -184,10 +182,13 @@ def pair_from_json(source) -> BaileyPair:
         data = source
     order = int(data["order"])
     n_max = int(data["n_max"])
-    alpha = tuple(Series.from_strings(row, order) for row in data["alpha"])
-    beta = tuple(Series.from_strings(row, order) for row in data["beta"])
-    if len(alpha) != n_max + 1 or len(beta) != n_max + 1:
-        raise ValueError("alpha/beta tables must carry n_max + 1 rows")
+    for name in ("alpha", "beta"):
+        if len(data[name]) != n_max + 1:
+            raise ValueError("alpha/beta tables must carry n_max + 1 rows")
+        for n, row in enumerate(data[name]):
+            if len(row) != order + 1:
+                raise ValueError(f"{name}_{n} has {len(row)} coefficients, not order + 1 = {order + 1}")
+    alpha, beta = (tuple(map(Series.from_strings, data[name])) for name in ("alpha", "beta"))
     return BaileyPair(alpha, beta)
 
 

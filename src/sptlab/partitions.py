@@ -136,6 +136,8 @@ def rank_counts(n: int) -> dict[int, int]:
 
 def second_rank_moment(n: int) -> int:
     """sum_m m^2 * N(m, n) over all partitions of n (enumeration route)."""
+    if n < 1:
+        raise ValueError("second rank moments need n >= 1")
     return sum(m * m * c for m, c in _rank_count_items(n))
 
 

@@ -139,33 +139,6 @@ class Series:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> Series:
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only non-negative integer powers are defined")
-        result = monomial(1, 0, self.order)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
-    def __truediv__(self, other) -> Series:
-        if isinstance(other, Series):
-            return self * other.invert()
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise ZeroDivisionError("division of a series by zero")
-            return self * (1 / Fraction(other))
-        return NotImplemented
-
-    def __rtruediv__(self, other) -> Series:
-        if isinstance(other, (int, Fraction)):
-            return self.invert() * other
-        return NotImplemented
-
     def invert(self) -> Series:
         """Multiplicative inverse through q^order.
 
@@ -252,16 +225,6 @@ class Series:
         out[::k] = self._num[: order // k + 1]
         return _canonical(out, self._den)
 
-    def reduce_mod(self, p: int) -> tuple[int, ...]:
-        """Residues of the coefficients mod p, each as ``residue`` gives it."""
-        if p < 2:
-            raise ValueError("modulus must be at least 2")
-        den = self._den
-        if gcd(den, p) == 1:  # then every reduced denominator is prime to p
-            inv = pow(den, -1, p)
-            return tuple(x * inv % p for x in self._num)
-        return tuple(residue(c, p, k) for k, c in enumerate(self.coeffs))
-
     def equal_up_to(self, other: Series, upto: int):
         """First exponent <= upto where the two series differ, or None."""
         if upto > min(self.order, other.order) or upto < 0:
@@ -281,8 +244,8 @@ class Series:
         return [f"{x // g}/{den // g}" for x in self._num for g in (gcd(x, den),)]
 
     @classmethod
-    def from_strings(cls, strings: Iterable[str], order: int | None = None) -> Series:
-        return cls([Fraction(s) for s in strings], order)
+    def from_strings(cls, strings: Iterable[str]) -> Series:
+        return cls([Fraction(s) for s in strings])
 
     # -- housekeeping ---------------------------------------------------------
 

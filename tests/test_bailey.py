@@ -276,6 +276,18 @@ class TestPairSerialization:
         pair = pair_from_json(data)
         assert verify_pair(pair) is None
 
+    def test_short_row_rejected(self):
+        data = pair_to_json(slater_j1(3, 6))
+        data["beta"][2] = data["beta"][2][:3]
+        with pytest.raises(ValueError, match="beta_2 has 3 coefficients, not order \\+ 1 = 7"):
+            pair_from_json(data)
+
+    def test_long_row_rejected(self):
+        data = pair_to_json(slater_j1(3, 6))
+        data["alpha"][3] = data["alpha"][3] + ["5/1"]
+        with pytest.raises(ValueError, match="alpha_3 has 8 coefficients"):
+            pair_from_json(data)
+
     def test_row_count_must_match(self):
         data = {"n_max": 2, "order": 1, "alpha": [["1/1"]], "beta": [["1/1"]]}
         with pytest.raises(ValueError):
@@ -291,7 +303,3 @@ class TestPairValidation:
         with pytest.raises(ValueError):
             BaileyPair((), ())
 
-    def test_non_unit_parameter_rejected(self):
-        pair = BaileyPair((one(4),), (one(4),), a=Fraction(2))
-        with pytest.raises(ValueError):
-            verify_pair(pair)

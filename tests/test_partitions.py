@@ -273,6 +273,8 @@ class TestPreconditions:
         with pytest.raises(ValueError):
             spt(0)
         with pytest.raises(ValueError):
+            second_rank_moment(0)
+        with pytest.raises(ValueError):
             spt23(0)
         with pytest.raises(ValueError):
             qualifies(())
