@@ -9,7 +9,6 @@ from sptlab import (
     enumerate_partitions,
     p_count,
     qualifies,
-    rank,
     rank_counts,
     second_rank_moment,
     second_rank_moment_series,
@@ -22,7 +21,8 @@ from sptlab import (
 print("== the partitions of 5 and their ranks ==")
 for parts in enumerate_partitions(5):
     tag = "qualifies" if qualifies(parts) else "excluded "
-    print(f"  {str(parts):22} rank={rank(parts):+d}  smallest x{parts.count(parts[-1])}  {tag}")
+    rank = parts[0] - len(parts)  # largest part minus the number of parts
+    print(f"  {str(parts):22} rank={rank:+d}  smallest x{parts.count(parts[-1])}  {tag}")
 print("p(5) =", p_count(5))
 
 print()

@@ -6,9 +6,12 @@ double-derivative identity turns the pair into the restricted
 smallest-parts generating function.
 """
 
+from dataclasses import replace
+
 from sptlab import (
     derivative_identity_sides,
     lemma_sides,
+    monomial,
     poch,
     slater_j1,
     spt23_series,
@@ -28,7 +31,7 @@ print()
 print("== defining relation ==")
 print("verify_pair ->", verify_pair(pair, N), "(None means every n checked out)")
 
-literal = slater_j1(8, N, literal_alpha0=True)
+literal = replace(pair, alpha=(monomial(2, 0, N),) + pair.alpha[1:])
 print("with alpha_0 = 2 instead ->", verify_pair(literal, N))
 print("(fails immediately at n = 1: the relation pins alpha_0 = 1)")
 

@@ -8,7 +8,6 @@ from .partitions import (
     p_count,
     enumerate_partitions,
     qualifies,
-    rank,
     rank_counts,
     rank_moment_tail,
     second_rank_moment,

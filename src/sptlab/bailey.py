@@ -47,7 +47,7 @@ class BaileyPair:
 
 
 @lru_cache(maxsize=None)
-def slater_j1(n_max: int, order: int, literal_alpha0: bool = False) -> BaileyPair:
+def slater_j1(n_max: int, order: int) -> BaileyPair:
     """The J(1) pair from Slater's list, relative to a = 1.
 
     alpha_0 = 1 and beta_0 = 1 by convention: the tabulated formulas
@@ -55,13 +55,10 @@ def slater_j1(n_max: int, order: int, literal_alpha0: bool = False) -> BaileyPai
     beta_n = (q^3;q^3)_{n-1} / ((q;q)_n (q;q)_{2n-1})
     are used for n >= 1, with alpha vanishing off multiples of 3; beta_n is stepped
     from beta_1 = 1/(1-q)^2 by beta_n/beta_{n-1} = (1-q^(3n-3))/((1-q^n)(1-q^(2n-2))(1-q^(2n-1))).
-    ``literal_alpha0=True`` instead reads the alpha formula at k = 0, which
-    gives alpha_0 = 2 and breaks the defining relation at n = 1; it exists
-    as a deliberately failing diagnostic.
     """
     if n_max < 1:
         raise ValueError("tabulate at least n = 1")
-    alpha = [monomial(2 if literal_alpha0 else 1, 0, order)]
+    alpha = [one(order)]
     beta = [one(order)]
     for n in range(1, n_max + 1):
         if n % 3:
@@ -160,7 +157,7 @@ def derivative_identity_sides(pair: BaileyPair, order: int) -> tuple[Series, Ser
     for n in range(order, 0, -1):
         lhs = monomial(1, n, order) * pair.beta[n] + lhs.qmul(1, n, 1, 1, 2)
 
-    rhs = pair.alpha[0] * lambert(1, 1, order)
+    rhs = pair.alpha[0] * lambert(1, order)
     for n in range(1, order + 1):
         if pair.alpha[n].is_zero():
             continue
@@ -172,20 +169,26 @@ def pair_from_json(source) -> BaileyPair:
     """Load a pair from the declarative JSON format.
 
     The object carries "n_max", "order", and "alpha"/"beta" as arrays of
-    coefficient-string arrays ("num/den", indexed from q^0).  Every row holds
-    exactly order + 1 coefficients: a short row is not padded with zeros and
-    a long one is not cut, so a truncated table cannot pass for an exact one.
+    coefficient-string arrays ("num/den", indexed from q^0).  Every row is an
+    array of exactly order + 1 coefficients: a short row is not padded with
+    zeros and a long one is not cut, so a truncated table cannot pass for an
+    exact one, and a string is not read one character at a time.
     """
     if isinstance(source, (str, Path)):
         data = json.loads(Path(source).read_text())
     else:
         data = source
+    for key in ("n_max", "order", "alpha", "beta"):
+        if key not in data:
+            raise ValueError(f"pair data has no {key!r} key")
     order = int(data["order"])
     n_max = int(data["n_max"])
     for name in ("alpha", "beta"):
         if len(data[name]) != n_max + 1:
             raise ValueError("alpha/beta tables must carry n_max + 1 rows")
         for n, row in enumerate(data[name]):
+            if not isinstance(row, list):
+                raise ValueError(f"{name}_{n} is not an array of coefficient strings")
             if len(row) != order + 1:
                 raise ValueError(f"{name}_{n} has {len(row)} coefficients, not order + 1 = {order + 1}")
     alpha, beta = (tuple(map(Series.from_strings, data[name])) for name in ("alpha", "beta"))

@@ -12,13 +12,15 @@ the corrected form is the registered check and the literal form runs as an
 attached diagnostic that is expected to fail, with its first mismatch
 recorded in the result.  A check registered with an erratum returns its
 cases together with a function that returns the cases of the literal reading.
+Every literal reading is built here from the corrected objects, so no
+builder carries a switch for one.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 from itertools import chain
@@ -43,7 +45,6 @@ class IdentityCheck:
     description: str
     kind: str  # exact-equality | congruence-mod-3 | oracle-agreement
     order: int = DEFAULT_ORDER
-    oracle_bound: int = DEFAULT_ORACLE_BOUND
 
 
 @dataclass
@@ -125,7 +126,7 @@ def _chk_i2(order, bound):
 def _chk_i3(order, bound):
     lhs = partitions.spt23_series(order)
     n2q3 = partitions.second_rank_moment_series(order).substitute_power(3)
-    rhs = lambert(1, 1, order).qmul(1, 3, 3, None, -1) - n2q3 * Fraction(1, 2)
+    rhs = lambert(1, order).qmul(1, 3, 3, None, -1) - n2q3 * Fraction(1, 2)
     return _coeffs(lhs, rhs, order)
 
 
@@ -135,8 +136,10 @@ def _chk_i4(order, bound):
         found = bailey.verify_pair(pair, order)
         return [] if found is None else [(found[0], found[2], found[3])]
 
-    return cases(bailey.slater_j1(8, order)), lambda: cases(
-        bailey.slater_j1(8, order, literal_alpha0=True)
+    pair = bailey.slater_j1(8, order)
+    # literal reading: the alpha formula taken at k = 0 too, so alpha_0 = 2
+    return cases(pair), lambda: cases(
+        replace(pair, alpha=(monomial(2, 0, order),) + pair.alpha[1:])
     )
 
 
@@ -153,13 +156,15 @@ def _chk_i6(order, bound):
 
 
 def _chk_i7(order, bound):
-    lat = theta.a_lattice(order)
-    cases = _coeffs(lat, theta.a_lambert(order), order)
-    return cases, lambda: _coeffs(lat, theta.a_lambert(order, first_index=1), order)
+    lat, lam = theta.a_lattice(order), theta.a_lambert(order)
+    # literal reading: the Lambert sum started at n = 1, which drops its
+    # n = 0 terms 6q/(1-q) - 6q^2/(1-q^2)
+    n0 = monomial(6, 1, order).qmul(1, 1, 1, 1, -1) - monomial(6, 2, order).qmul(1, 2, 1, 1, -1)
+    return _coeffs(lat, lam, order), lambda: _coeffs(lat, lam - n0, order)
 
 
 def _chk_i8(order, bound):
-    lhs = (lambert(1, 1, order) - lambert(1, 3, order) * 3) * 12
+    lhs = (lambert(1, order) - lambert(3, order) * 3) * 12
     a = theta.a_lattice(order)
     rhs = a * a - 1
     return _coeffs(lhs, rhs, order)
@@ -363,7 +368,7 @@ def run(check_id: str, order: int | None = None, oracle_bound: int | None = None
         raise ValueError(f"unknown identity id: {check_id!r}")
     meta, check, erratum = _BY_ID[check_id]
     n = meta.order if order is None else order
-    b = meta.oracle_bound if oracle_bound is None else oracle_bound
+    b = DEFAULT_ORACLE_BOUND if oracle_bound is None else oracle_bound
     if n < 10:
         raise ValueError("order must be at least 10")
     if n > MAX_ORDER:

@@ -18,32 +18,22 @@ from .series import Series, integral, monomial, one, prefix_cache, zero
 Partition = tuple[int, ...]
 
 
-def enumerate_partitions(n: int, max_part: int | None = None) -> Iterator[Partition]:
-    """Yield every partition of n exactly once, parts non-increasing and
-    at most max_part, in decreasing lexicographic order.
+def enumerate_partitions(n: int) -> Iterator[Partition]:
+    """Yield every partition of n exactly once, parts non-increasing, in
+    decreasing lexicographic order.
 
     This is ZS1 (A. Zoghbi and I. Stojmenovic, Int. J. Comput. Math. 70,
-    1998): one list updated in place, no recursion.  It starts from the
-    largest partition (k, ..., k, r) with parts <= k.  Each step lowers the
-    last part above 1 by one and refills the tail greedily with parts of
-    that new size; the walk ends at (1, ..., 1).
+    1998): one list updated in place, no recursion.  It starts from (n).
+    Each step lowers the last part above 1 by one and refills the tail
+    greedily with parts of that new size; the walk ends at (1, ..., 1).
     """
     if n < 0:
         raise ValueError("cannot partition a negative integer")
     if n == 0:
         yield ()
         return
-    k = n if max_part is None or max_part > n else max_part
-    if k < 1:
-        return
-    q, r = divmod(n, k)
-    x = [k] * q + [1] * (n - q)  # x[:m + 1] is the partition, x[h] its last part > 1
-    m = h = q - 1
-    if r:
-        m = q
-        x[q] = r
-        if r > 1:
-            h = q
+    x = [n] + [1] * (n - 1)  # x[:m + 1] is the partition, x[h] its last part > 1
+    m = h = 0
     yield tuple(x[: m + 1])
     while x[0] != 1:
         if x[h] == 2:
@@ -112,13 +102,6 @@ def sigma(k: int, n) -> int:
                 total += e**k
         d += 1
     return total
-
-
-def rank(parts: Partition) -> int:
-    """Largest part minus the number of parts."""
-    if not parts:
-        raise ValueError("the empty partition has no rank here")
-    return parts[0] - len(parts)
 
 
 @lru_cache(maxsize=None)

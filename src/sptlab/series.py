@@ -404,24 +404,15 @@ def poch(c: Rational, start: int, step: int, count: int | None, order: int) -> S
     return one(order).qmul(c, start, step, count)
 
 
-def lambert(weight: int, base: int, order: int) -> Series:
-    """sum_{n>=1} n^weight * q^(base*n) / (1 - q^(base*n)), truncated.
+def lambert(base: int, order: int) -> Series:
+    """sum_{n>=1} n q^(base*n) / (1 - q^(base*n)), truncated.
 
-    By divisor-sum rearrangement this equals sum_m sigma_weight(m) q^(base*m);
-    weight must be 0 or 1.
+    By divisor-sum rearrangement this equals sum_m sigma(m) q^(base*m).
     """
-    if weight not in (0, 1):
-        raise ValueError("weight must be 0 or 1")
     if base < 1:
         raise ValueError("base exponent must be a positive integer")
     coeffs = [0] * (order + 1)
-    n = 1
-    while base * n <= order:
-        e = base * n
-        w = n if weight else 1
-        m = e
-        while m <= order:
-            coeffs[m] += w
-            m += e
-        n += 1
+    for n in range(1, order // base + 1):
+        for m in range(base * n, order + 1, base * n):
+            coeffs[m] += n
     return _series(coeffs, 1)

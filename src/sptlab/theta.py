@@ -63,23 +63,17 @@ def a_lattice(order: int) -> Series:
     return Series(lattice_table(order).r2)
 
 
-def a_lambert(order: int, first_index: int = 0) -> Series:
-    """a(q) as 1 + 6 sum_{n>=first_index} (q^(3n+1)/(1-q^(3n+1)) - q^(3n+2)/(1-q^(3n+2))).
+def a_lambert(order: int) -> Series:
+    """a(q) as 1 + 6 sum_{n>=0} (q^(3n+1)/(1-q^(3n+1)) - q^(3n+2)/(1-q^(3n+2))).
 
-    The sum must start at n = 0 to reproduce the lattice count (the n = 0
-    terms supply the coefficient 6 of q^1); ``first_index=1`` builds the
-    variant without them, kept only as a failing diagnostic in the harness.
+    The n = 0 terms supply the coefficient 6 of q^1.
     """
     coeffs = [0] * (order + 1)
     coeffs[0] = 1
-    n = first_index
-    while 3 * n + 1 <= order:
+    for n in range((order + 2) // 3):  # every n with 3n + 1 <= order
         for e, s in ((3 * n + 1, 6), (3 * n + 2, -6)):
-            m = e
-            while m <= order:
+            for m in range(e, order + 1, e):
                 coeffs[m] += s
-                m += e
-        n += 1
     return Series(coeffs)
 
 

@@ -1,6 +1,7 @@
 """Bailey pair construction, the defining relation, and lemma specializations."""
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -35,6 +36,12 @@ def unit_pair(n_max: int, order: int) -> BaileyPair:
         pn = poch(1, 1, 1, n, order)
         beta.append((pn * pn).invert())
     return BaileyPair(tuple(alpha), tuple(beta))
+
+
+def literal_alpha0_pair(n_max: int, order: int) -> BaileyPair:
+    """J(1) with its alpha formula read literally at k = 0 as well, so alpha_0 = 2."""
+    pair = slater_j1(n_max, order)
+    return replace(pair, alpha=(monomial(2, 0, order),) + pair.alpha[1:])
 
 
 def reference_lemma_sides(pair: BaileyPair, z, y, order: int) -> tuple[Series, Series]:
@@ -84,7 +91,8 @@ class TestSlaterTables:
 
     def test_alpha_zero_convention(self):
         assert slater_j1(2, 10).alpha[0] == one(10)
-        assert slater_j1(2, 10, literal_alpha0=True).alpha[0] == monomial(2, 0, 10)
+        # the alpha formula read literally at k = 0: q^0 (1 + q^0) = 2
+        assert literal_alpha0_pair(2, 10).alpha[0] == monomial(2, 0, 10)
 
     def test_beta_one_is_inverse_square(self):
         pair = slater_j1(2, 10)
@@ -101,7 +109,7 @@ class TestDefiningRelation:
         assert verify_pair(pair, 40) is None
 
     def test_literal_alpha0_fails_at_n1(self):
-        pair = slater_j1(8, 40, literal_alpha0=True)
+        pair = literal_alpha0_pair(8, 40)
         failure = verify_pair(pair, 40)
         assert failure is not None
         n, k, left, right = failure
@@ -235,7 +243,7 @@ class TestDerivativeIdentity:
         order = 36
         pair = slater_j1(order, order)
         _, rhs = derivative_identity_sides(pair, order)
-        alpha_sum = rhs - pair.alpha[0] * lambert(1, 1, order)
+        alpha_sum = rhs - pair.alpha[0] * lambert(1, order)
         assert alpha_sum.equal_up_to(
             rank_moment_tail(order).substitute_power(3), order
         ) is None
@@ -286,6 +294,19 @@ class TestPairSerialization:
         data = pair_to_json(slater_j1(3, 6))
         data["alpha"][3] = data["alpha"][3] + ["5/1"]
         with pytest.raises(ValueError, match="alpha_3 has 8 coefficients"):
+            pair_from_json(data)
+
+    def test_string_row_rejected(self):
+        # a string of order + 1 characters must not load as 1 + 2q + 3q^2
+        data = pair_to_json(slater_j1(1, 2))
+        data["beta"][1] = "123"
+        with pytest.raises(ValueError, match="beta_1 is not an array"):
+            pair_from_json(data)
+
+    def test_missing_key_rejected(self):
+        data = pair_to_json(slater_j1(1, 2))
+        del data["n_max"]
+        with pytest.raises(ValueError, match="'n_max'"):
             pair_from_json(data)
 
     def test_row_count_must_match(self):

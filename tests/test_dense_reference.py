@@ -87,7 +87,7 @@ def ref_derivative_identity_sides(pair, order):
     for n in range(1, order + 1):
         pref = poch(1, 1, 1, n - 1, order)
         lhs += pref * pref * pair.beta[n] * monomial(1, n, order)
-    rhs = pair.alpha[0] * lambert(1, 1, order)
+    rhs = pair.alpha[0] * lambert(1, order)
     for n in range(1, order + 1):
         if pair.alpha[n].is_zero():
             continue
@@ -142,7 +142,8 @@ def test_verify_pair_matches_its_dense_reference(order):
     good = slater_j1(8, order)
     broken_beta = list(good.beta)
     broken_beta[5] = broken_beta[5] + monomial(1, 7, order)
-    pairs = [good, slater_j1(8, order, literal_alpha0=True), BaileyPair(good.alpha, tuple(broken_beta))]
+    literal = BaileyPair((monomial(2, 0, order),) + good.alpha[1:], good.beta)  # alpha_0 = 2
+    pairs = [good, literal, BaileyPair(good.alpha, tuple(broken_beta))]
     for pair in pairs:
         assert bailey.verify_pair(pair, order) == ref_verify_pair(pair, order)
     assert ref_verify_pair(pairs[0], order) is None

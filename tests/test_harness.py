@@ -43,8 +43,6 @@ class TestRegistry:
         assert by_id["I5"].order == 40
         assert by_id["I6"].order == 30
         assert by_id["I1"].order == identities.DEFAULT_ORDER
-        assert all(m.oracle_bound == identities.DEFAULT_ORACLE_BOUND
-                   for m in identities.registry())
 
 
 class TestRun:
@@ -121,6 +119,12 @@ class TestDiagnostics:
         d = next(r for r in full_results if r.id == "I4").diagnostic
         assert d["status"] == "fail" == d["expected_status"]
         assert d["first_mismatch"] == [1, "1", "2"]
+
+    def test_i4_builds_one_j1_table(self):
+        # the literal reading is derived from the registered pair, not tabulated again
+        bailey.slater_j1.cache_clear()
+        identities.run("I4", 40, 10)
+        assert bailey.slater_j1.cache_info().misses == 1
 
     def test_i7_lambert_start_diagnostic(self, full_results):
         d = next(r for r in full_results if r.id == "I7").diagnostic
