@@ -17,8 +17,9 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
+from types import SimpleNamespace
 
-from .series import Series, exact, lambert, monomial, one, zero
+from .series import Series, exact, lambert, one, zero
 
 
 class DegenerateParameterError(ValueError):
@@ -46,6 +47,25 @@ class BaileyPair:
         return self.alpha[0].order
 
 
+def _j1_rows(orders) -> dict[str, tuple[Series, ...]]:
+    """alpha_n and beta_n of J(1) for n = 0, 1, ..., row n through q^orders[n];
+    the orders must not increase, since beta_n is stepped from beta_(n-1)."""
+    alpha, beta = [one(orders[0])], [one(orders[0])]
+    for n, order in enumerate(orders[1:], 1):
+        cs = [0] * (order + 1)
+        if n % 3 == 0:  # q^(3k(3k-1)/2) and q^(3k(3k+1)/2) at n = 3k, with sign (-1)^k
+            for e in (n * (n - 1) // 2, n * (n + 1) // 2):
+                if e <= order:
+                    cs[e] = (-1) ** (n // 3)
+        alpha.append(Series(cs))
+        if n == 1:
+            beta.append(one(order).qmul(1, 1, 1, 1, -2))
+        else:
+            step = beta[-1].truncate(order).qmul(1, 3 * n - 3, 1, 1).qmul(1, n, 1, 1, -1)
+            beta.append(step.qmul(1, 2 * n - 2, 1, 2, -1))
+    return {"alpha": tuple(alpha), "beta": tuple(beta)}
+
+
 @lru_cache(maxsize=None)
 def slater_j1(n_max: int, order: int) -> BaileyPair:
     """The J(1) pair from Slater's list, relative to a = 1.
@@ -58,27 +78,13 @@ def slater_j1(n_max: int, order: int) -> BaileyPair:
     """
     if n_max < 1:
         raise ValueError("tabulate at least n = 1")
-    alpha = [one(order)]
-    beta = [one(order)]
-    for n in range(1, n_max + 1):
-        if n % 3:
-            alpha.append(zero(order))
-        else:
-            k = n // 3
-            sign = 1 if k % 2 == 0 else -1
-            e = n * (n - 1) // 2  # 3k(3k-1)/2 at n = 3k
-            cs = [0] * (order + 1)
-            if e <= order:
-                cs[e] += sign
-            if e + n <= order:
-                cs[e + n] += sign
-            alpha.append(Series(cs))
-        if n == 1:
-            beta.append(one(order).qmul(1, 1, 1, 1, -2))
-        else:
-            step = beta[-1].qmul(1, 3 * n - 3, 1, 1).qmul(1, n, 1, 1, -1)
-            beta.append(step.qmul(1, 2 * n - 2, 1, 2, -1))
-    return BaileyPair(tuple(alpha), tuple(beta))
+    return BaileyPair(**_j1_rows([order] * (n_max + 1)))
+
+
+def slater_j1_window(order: int) -> SimpleNamespace:
+    """The ``alpha`` and ``beta`` rows n = 0..order of J(1) that the sides
+    through q^order read, row n through q^(order - n); not memoized."""
+    return SimpleNamespace(**_j1_rows(range(order, -1, -1)))
 
 
 def verify_pair(pair: BaileyPair, order: int | None = None):
@@ -100,16 +106,14 @@ def verify_pair(pair: BaileyPair, order: int | None = None):
     return None
 
 
-def _require_depth(pair: BaileyPair, order: int) -> None:
-    """Sides through q^order need the rows n <= order, each tabulated through q^order."""
-    if pair.n_max < order or pair.order < order:
-        raise ValueError(
-            f"truncation shortfall: n_max={pair.n_max} and pair order={pair.order} "
-            f"must both reach order={order}"
-        )
+def _require_depth(pair, order: int) -> None:
+    """Sides through q^order read the rows n <= order, row n through q^(order - n)."""
+    rows = (pair.alpha, pair.beta)
+    if min(map(len, rows)) <= order or any(r[n].order < order - n for r in rows for n in range(order + 1)):
+        raise ValueError(f"truncation shortfall: sides through q^{order} need rows n <= {order} through q^({order} - n)")
 
 
-def lemma_sides(pair: BaileyPair, z, y, order: int) -> tuple[Series, Series]:
+def lemma_sides(pair, z, y, order: int) -> tuple[Series, Series]:
     """Both sides of Bailey's lemma at the numeric specialization (z, y), a = 1.
 
     Left:  sum_n (z;q)_n (y;q)_n (q/zy)^n beta_n
@@ -118,8 +122,8 @@ def lemma_sides(pair: BaileyPair, z, y, order: int) -> tuple[Series, Series]:
 
     z = 1 or y = 1 makes (z;q)_n or (y;q)_n vanish for n >= 1, so both sides
     collapse to their n = 0 terms; that is flagged as degenerate rather than
-    reported as a meaningful match.  Every summand is O(q^n), so the pair
-    must be tabulated to n_max >= order, each row through q^order.
+    reported as a meaningful match.  Summand n is O(q^n), so ``pair`` (a
+    ``BaileyPair`` or ``slater_j1_window``) needs rows n <= order through q^(order - n).
     """
     z, y = exact(z), exact(y)
     if z == 0 or y == 0:
@@ -132,10 +136,11 @@ def lemma_sides(pair: BaileyPair, z, y, order: int) -> tuple[Series, Series]:
     w = 1 / (z * y)  # (q/zy)^n contributes w^n q^n
 
     def step(acc, n):  # w q (1 - z q^n)(1 - y q^n) acc: term n+1 over term n
-        return (monomial(w, 1, order) * acc).qmul(z, n, 1, 1).qmul(y, n, 1, 1)
+        return (acc.shift(1) * w).qmul(z, n, 1, 1).qmul(y, n, 1, 1)
 
-    lhs = total = zero(order)  # both sums nested from the top: acc_n = term_n + step(acc_(n+1), n)
-    for n in range(order, -1, -1):
+    # nested from the top: acc_n = term_n + step(acc_(n+1), n), carried through q^(order - n)
+    lhs, total = pair.beta[order].truncate(0), pair.alpha[order].truncate(0)
+    for n in range(order - 1, -1, -1):
         lhs = pair.beta[n] + step(lhs, n)
         total = pair.alpha[n] + step(total, n).qmul(1 / z, n + 1, 1, 1, -1).qmul(1 / y, n + 1, 1, 1, -1)
 
@@ -143,25 +148,25 @@ def lemma_sides(pair: BaileyPair, z, y, order: int) -> tuple[Series, Series]:
     return lhs, rhs.qmul(1, 1, 1, None, -1).qmul(w, 1, 1, None, -1)
 
 
-def derivative_identity_sides(pair: BaileyPair, order: int) -> tuple[Series, Series]:
+def derivative_identity_sides(pair, order: int) -> tuple[Series, Series]:
     """Both sides of the lemma differentiated in z and y at z = y = a = 1:
 
     sum_{n>=1} (q;q)_{n-1}^2 beta_n q^n
         = alpha_0 sum_{n>=1} n q^n/(1-q^n) + sum_{n>=1} alpha_n q^n/(1-q^n)^2.
 
-    Summand n is O(q^n) on both sides, so n_max >= order suffices, each row
-    tabulated through q^order.
+    Summand n is O(q^n) on both sides, so ``pair`` (a ``BaileyPair`` or
+    ``slater_j1_window``) needs rows n <= order through q^(order - n).
     """
     _require_depth(pair, order)
-    lhs = zero(order)  # nested from the top: acc_n = q^n beta_n + (1 - q^n)^2 acc_(n+1)
+    lhs = zero(0)  # nested from the top: acc_n = q^n beta_n + (1 - q^n)^2 acc_(n+1), as acc_n / q^(n-1)
     for n in range(order, 0, -1):
-        lhs = monomial(1, n, order) * pair.beta[n] + lhs.qmul(1, n, 1, 1, 2)
+        lhs = (pair.beta[n] + lhs.qmul(1, n, 1, 1, 2)).shift(1)
 
     rhs = pair.alpha[0] * lambert(1, order)
     for n in range(1, order + 1):
-        if pair.alpha[n].is_zero():
-            continue
-        rhs += (monomial(1, n, order) * pair.alpha[n]).qmul(1, n, 1, 1, -2)
+        alpha = pair.alpha[n].truncate(order - n)
+        if not alpha.is_zero():
+            rhs += alpha.shift(n).qmul(1, n, 1, 1, -2)
     return lhs, rhs
 
 
@@ -181,8 +186,10 @@ def pair_from_json(source) -> BaileyPair:
     for key in ("n_max", "order", "alpha", "beta"):
         if key not in data:
             raise ValueError(f"pair data has no {key!r} key")
-    order = int(data["order"])
-    n_max = int(data["n_max"])
+    for key in ("n_max", "order"):
+        if type(data[key]) is not int:  # a bool, a float or a string is no size
+            raise ValueError(f"{key!r} must be an int, not {data[key]!r}")
+    order, n_max = data["order"], data["n_max"]
     for name in ("alpha", "beta"):
         if len(data[name]) != n_max + 1:
             raise ValueError("alpha/beta tables must carry n_max + 1 rows")

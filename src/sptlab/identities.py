@@ -144,14 +144,12 @@ def _chk_i4(order, bound):
 
 
 def _chk_i5(order, bound):
-    pair = bailey.slater_j1(order, order)
-    lhs, rhs = bailey.derivative_identity_sides(pair, order)
+    lhs, rhs = bailey.derivative_identity_sides(bailey.slater_j1_window(order), order)
     return _coeffs(lhs, rhs, order)
 
 
 def _chk_i6(order, bound):
-    pair = bailey.slater_j1(order, order)
-    lhs, rhs = bailey.lemma_sides(pair, -1, -1, order)
+    lhs, rhs = bailey.lemma_sides(bailey.slater_j1_window(order), -1, -1, order)
     return _coeffs(lhs, rhs, order)
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import wraps
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import add, mul, sub
 from threading import Lock
 from typing import Iterable, Union
@@ -167,14 +167,16 @@ class Series:
         return _canonical(nums, den)
 
     def qmul(self, c: Rational, start: int, step: int, count: int | None, power: int = 1) -> Series:
-        """self * prod_j (1 - c*q^(start + j*step))^power, one binomial at a time.
+        """self * prod_j (1 - c*q^(start + j*step))^power.
 
         ``count`` is the number of factors; None means the infinite product, in
         which case only factors with exponent <= order are applied (the rest
         are 1 + O(q^(order+1)), so the truncation is exact, not approximate).
         An infinite product needs start >= 1 to stabilize termwise.
 
-        With c = a/b, multiplying by (1 - c*q^e) multiplies the numerators by
+        A full Euler product (q^k;q^k)_inf (count None, c = 1, start = step = k) goes
+        by its pentagonal-number expansion, any other product one binomial at a
+        time.  With c = a/b, multiplying by (1 - c*q^e) multiplies the numerators by
         (b - a*q^e) and the denominator by b.  Dividing first scales the
         numerators and the denominator by b^M, M = |power| * sum_e order // e,
         so that every division by b in the upward scans is exact.
@@ -197,7 +199,11 @@ class Series:
             return self
         x = list(self._num)
         den = self._den
-        if power > 0:
+        if count is None and a == b == 1 and start == step:  # a full Euler product
+            minus, plus = _pentagonal(step, order)
+            for _ in range(abs(power)):
+                (_times_pentagonal if power > 0 else _over_pentagonal)(x, minus, plus)
+        elif power > 0:
             for e in exponents:
                 for _ in range(power):
                     _times_binomial(x, a, b, e)
@@ -213,6 +219,12 @@ class Series:
         return _canonical(x, den)
 
     # -- structural operations ----------------------------------------------
+
+    def shift(self, k: int) -> Series:
+        """q^k * self, exact through q^(order + k)."""
+        if k < 0:
+            raise ValueError("shift exponent must be non-negative")
+        return _series((0,) * k + self._num, self._den)
 
     def substitute_power(self, k: int) -> Series:
         """Replace q by q^k; the truncation order is preserved."""
@@ -313,6 +325,38 @@ def _over_binomial(x: list, a: int, b: int, e: int) -> None:
     step = add if a == b == 1 else (lambda prev, v: v + a * prev // b)
     for s in range(e, len(x), e):
         x[s : s + e] = map(step, x[s - e : s], x[s : s + e])
+
+
+def _pentagonal(k: int, order: int) -> tuple[list, list]:
+    """The exponents 1 <= e <= order of (q^k;q^k)_inf = sum_j (-1)^j q^(k j(3j-1)/2)
+    (Euler's pentagonal number theorem), as (those of sign -1, those of sign +1)."""
+    minus, plus = [], []
+    for j in range(1, isqrt(order // k) + 1):  # k j(3j-1)/2 >= k j^2
+        (minus if j % 2 else plus).extend((k * j * (3 * j - 1) // 2, k * j * (3 * j + 1) // 2))
+    return [e for e in minus if e <= order], [e for e in plus if e <= order]
+
+
+def _times_pentagonal(x: list, minus: list, plus: list) -> None:
+    """x <- x (1 - sum_minus q^e + sum_plus q^e) in place, through the truncation order."""
+    src = x[:]
+    for op, exponents in ((sub, minus), (add, plus)):
+        for e in exponents:
+            x[e:] = map(op, x[e:], src)
+
+
+def _over_pentagonal(x: list, minus: list, plus: list) -> None:
+    """x <- x / (1 - sum_minus q^e + sum_plus q^e) in place, by the upward recurrence."""
+    for m in range(1, len(x)):
+        v = x[m]
+        for e in minus:
+            if e > m:
+                break
+            v += x[m - e]
+        for e in plus:
+            if e > m:
+                break
+            v -= x[m - e]
+        x[m] = v
 
 
 def _ratio(c: Rational) -> tuple[int, int]:

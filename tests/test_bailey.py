@@ -16,6 +16,7 @@ from sptlab.bailey import (
     pair_from_json,
     pair_to_json,
     slater_j1,
+    slater_j1_window,
     verify_pair,
 )
 from sptlab.partitions import (
@@ -221,6 +222,35 @@ class TestNestedSumsOnArbitraryTables:
             assert side.coeffs == ref.coeffs
 
 
+class TestWindow:
+    def test_rows_are_the_tabulated_rows_cut_to_the_window(self):
+        for order in range(81):
+            window, pair = slater_j1_window(order), slater_j1(max(order, 1), order)
+            assert len(window.alpha) == len(window.beta) == order + 1
+            for n in range(order + 1):
+                assert window.alpha[n] == pair.alpha[n].truncate(order - n)
+                assert window.beta[n] == pair.beta[n].truncate(order - n)
+
+    @pytest.mark.parametrize("z, y", [(-1, -1), (-2, -1), (Fraction(1, 2), -3)])
+    def test_sides_match_those_of_the_full_table(self, z, y):
+        for order in (0, 1, 2, 17):
+            window, pair = slater_j1_window(order), slater_j1(max(order, 1), order)
+            assert lemma_sides(window, z, y, order) == lemma_sides(pair, z, y, order)
+            assert derivative_identity_sides(window, order) == derivative_identity_sides(pair, order)
+
+    def test_a_wider_window_gives_the_same_sides(self):
+        wide, exact_fit = slater_j1_window(14), slater_j1_window(10)
+        assert lemma_sides(wide, -1, -1, 10) == lemma_sides(exact_fit, -1, -1, 10)
+        assert derivative_identity_sides(wide, 10) == derivative_identity_sides(exact_fit, 10)
+
+    def test_a_narrower_window_rejected(self):
+        window = slater_j1_window(10)
+        with pytest.raises(ValueError, match="shortfall"):
+            lemma_sides(window, -1, -1, 11)
+        with pytest.raises(ValueError, match="shortfall"):
+            derivative_identity_sides(window, 11)
+
+
 class TestDerivativeIdentity:
     def test_sides_agree_at_order_40(self):
         order = 40
@@ -307,6 +337,15 @@ class TestPairSerialization:
         data = pair_to_json(slater_j1(1, 2))
         del data["n_max"]
         with pytest.raises(ValueError, match="'n_max'"):
+            pair_from_json(data)
+
+    @pytest.mark.parametrize("key", ["order", "n_max"])
+    @pytest.mark.parametrize("value", [2.9, "3", True], ids=["float", "string", "bool"])
+    def test_non_int_size_rejected(self, key, value):
+        # int() would read 2.9 as 2 and "3" as 3, and True passes for 1
+        data = pair_to_json(slater_j1(1, 2))
+        data[key] = value
+        with pytest.raises(ValueError, match=f"'{key}' must be an int"):
             pair_from_json(data)
 
     def test_row_count_must_match(self):

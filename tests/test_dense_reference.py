@@ -3,9 +3,11 @@
 Each reference below expands every q-product with ``poch``, inverts the
 denominator with ``Series.invert`` and multiplies the dense series; ``beta_n``
 of the J(1) pair and the tail of I1 are built from scratch for each n.  The
-package applies the same products one binomial factor at a time
-(``Series.qmul``) and steps beta_n and the I1 tail from their predecessors;
-both routes must agree coefficient by coefficient.
+package applies the same products in place (``Series.qmul``) and steps
+beta_n and the I1 tail from their predecessors; both routes must agree
+coefficient by coefficient.  A full Euler product comes from the
+pentagonal route of ``qmul`` on both routes, so its own reference is the
+binomial loop in ``test_series.py``.
 """
 
 from fractions import Fraction

@@ -126,6 +126,13 @@ class TestDiagnostics:
         identities.run("I4", 40, 10)
         assert bailey.slater_j1.cache_info().misses == 1
 
+    def test_i5_and_i6_build_no_j1_table(self):
+        # both read the rows of slater_j1_window, which no memo keeps
+        bailey.slater_j1.cache_clear()
+        assert identities.run("I5", 60, 10).status == "pass"
+        assert identities.run("I6", 60, 10).status == "pass"
+        assert bailey.slater_j1.cache_info().misses == 0
+
     def test_i7_lambert_start_diagnostic(self, full_results):
         d = next(r for r in full_results if r.id == "I7").diagnostic
         assert d["status"] == "fail"

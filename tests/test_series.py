@@ -1,9 +1,10 @@
 """Exact series arithmetic: frozen examples plus invariant property tests."""
 
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_pair_count, brute_sigma, dp_partition_count, signed_distinct_part_count
@@ -25,6 +26,14 @@ coeff_lists = st.lists(rationals, min_size=1, max_size=9)
 
 def geometric(order):
     return (one(order) - monomial(1, 1, order)).invert()
+
+
+def euler_by_binomials(s, k, power):
+    """s * (q^k;q^k)_inf^power, one binomial factor at a time: the reference
+    for the pentagonal route that ``Series.qmul`` takes for a full Euler product."""
+    for e in range(k, s.order + 1, k):
+        s = s.qmul(1, e, 1, 1, power)
+    return s
 
 
 class TestConstruction:
@@ -151,6 +160,23 @@ class TestQmul:
             expected = expected * factor
         assert s.qmul(c, start, step, count, power) == expected
 
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.integers(0, 300),
+        st.integers(1, 9),
+        st.integers(-6, 6),
+        st.sampled_from((1, 2, 3, 12)),
+        st.randoms(use_true_random=False),
+    )
+    @example(order=4, k=9, power=-6, den=12, rnd=random.Random(1))  # no factor applies
+    @example(order=300, k=1, power=-6, den=12, rnd=random.Random(2))
+    @example(order=300, k=1, power=6, den=2, rnd=random.Random(3))
+    def test_full_euler_product_matches_the_binomial_route(self, order, k, power, den, rnd):
+        # the constant term 1/den keeps the shared denominator at den
+        s = Series([Fraction(1, den)] + [Fraction(rnd.randint(-30, 30), den) for _ in range(order)])
+        got, ref = s.qmul(1, k, k, None, power), euler_by_binomials(s, k, power)
+        assert (got._num, got._den) == (ref._num, ref._den)
+
     def test_dividing_by_a_factor_at_q0_rejected(self):
         with pytest.raises(ValueError):
             one(4).qmul(2, 0, 1, 1, -1)
@@ -193,6 +219,24 @@ class TestSubstitutePower:
     def test_composition(self, cs, a, b):
         f = Series(cs)
         assert f.substitute_power(a).substitute_power(b) == f.substitute_power(a * b)
+
+
+class TestShift:
+    @given(coeff_lists, st.integers(0, 5))
+    def test_prepends_k_zero_coefficients(self, cs, k):
+        f = Series(cs)
+        g = f.shift(k)
+        assert g.order == f.order + k
+        assert g.coeffs[:k] == (0,) * k
+        assert g == Series((0,) * k + f.coeffs)
+
+    def test_is_the_monomial_product(self):
+        f = geometric(6)
+        assert f.shift(2).truncate(6) == monomial(1, 2, 6) * f
+
+    def test_rejects_negative_shift(self):
+        with pytest.raises(ValueError):
+            geometric(4).shift(-1)
 
 
 class TestLambert:
