@@ -35,8 +35,6 @@ from .bailey import (
     DegenerateParameterError,
     derivative_identity_sides,
     lemma_sides,
-    pair_from_json,
-    pair_to_json,
     slater_j1,
     verify_pair,
 )

@@ -13,10 +13,8 @@ is verified, never assumed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 from types import SimpleNamespace
 
 from .series import Series, exact, lambert, one, zero
@@ -87,13 +85,13 @@ def slater_j1_window(order: int) -> SimpleNamespace:
     return SimpleNamespace(**_j1_rows(range(order, -1, -1)))
 
 
-def verify_pair(pair: BaileyPair, order: int | None = None):
+def verify_pair(pair: BaileyPair, order: int):
     """Check the defining relation for every 1 <= n <= n_max.
 
     Returns None on success, else (n, k, left, right): the first pair index
     n and coefficient exponent k where beta_n differs from the alpha sum.
     """
-    order = pair.order if order is None else min(order, pair.order)
+    order = min(order, pair.order)
     for n in range(1, pair.n_max + 1):
         rhs = zero(order)
         for r in range(n + 1):
@@ -108,6 +106,8 @@ def verify_pair(pair: BaileyPair, order: int | None = None):
 
 def _require_depth(pair, order: int) -> None:
     """Sides through q^order read the rows n <= order, row n through q^(order - n)."""
+    if order < 0:
+        raise ValueError("order must be non-negative")
     rows = (pair.alpha, pair.beta)
     if min(map(len, rows)) <= order or any(r[n].order < order - n for r in rows for n in range(order + 1)):
         raise ValueError(f"truncation shortfall: sides through q^{order} need rows n <= {order} through q^({order} - n)")
@@ -168,45 +168,3 @@ def derivative_identity_sides(pair, order: int) -> tuple[Series, Series]:
         if not alpha.is_zero():
             rhs += alpha.shift(n).qmul(1, n, 1, 1, -2)
     return lhs, rhs
-
-
-def pair_from_json(source) -> BaileyPair:
-    """Load a pair from the declarative JSON format.
-
-    The object carries "n_max", "order", and "alpha"/"beta" as arrays of
-    coefficient-string arrays ("num/den", indexed from q^0).  Every row is an
-    array of exactly order + 1 coefficients: a short row is not padded with
-    zeros and a long one is not cut, so a truncated table cannot pass for an
-    exact one, and a string is not read one character at a time.
-    """
-    if isinstance(source, (str, Path)):
-        data = json.loads(Path(source).read_text())
-    else:
-        data = source
-    for key in ("n_max", "order", "alpha", "beta"):
-        if key not in data:
-            raise ValueError(f"pair data has no {key!r} key")
-    for key in ("n_max", "order"):
-        if type(data[key]) is not int:  # a bool, a float or a string is no size
-            raise ValueError(f"{key!r} must be an int, not {data[key]!r}")
-    order, n_max = data["order"], data["n_max"]
-    for name in ("alpha", "beta"):
-        if len(data[name]) != n_max + 1:
-            raise ValueError("alpha/beta tables must carry n_max + 1 rows")
-        for n, row in enumerate(data[name]):
-            if not isinstance(row, list):
-                raise ValueError(f"{name}_{n} is not an array of coefficient strings")
-            if len(row) != order + 1:
-                raise ValueError(f"{name}_{n} has {len(row)} coefficients, not order + 1 = {order + 1}")
-    alpha, beta = (tuple(map(Series.from_strings, data[name])) for name in ("alpha", "beta"))
-    return BaileyPair(alpha, beta)
-
-
-def pair_to_json(pair: BaileyPair) -> dict:
-    """Dump a pair to the declarative JSON format (as a plain dict)."""
-    return {
-        "n_max": pair.n_max,
-        "order": pair.order,
-        "alpha": [s.to_strings() for s in pair.alpha],
-        "beta": [s.to_strings() for s in pair.beta],
-    }

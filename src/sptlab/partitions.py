@@ -85,7 +85,9 @@ def p_count(n: int) -> int:
 
 
 def sigma(k: int, n) -> int:
-    """Divisor power sum sum_{d|n} d^k; zero unless n is a positive integer."""
+    """Divisor power sum sum_{d|n} d^k for k >= 0; zero unless n is a positive integer."""
+    if k < 0:
+        raise ValueError("divisor power must be non-negative")
     if isinstance(n, Fraction):
         if n.denominator != 1:
             return 0

@@ -248,17 +248,6 @@ class Series:
                 return k
         return None
 
-    # -- serialization ------------------------------------------------------
-
-    def to_strings(self) -> list[str]:
-        """Coefficients as "numerator/denominator" strings, indexed from 0."""
-        den = self._den
-        return [f"{x // g}/{den // g}" for x in self._num for g in (gcd(x, den),)]
-
-    @classmethod
-    def from_strings(cls, strings: Iterable[str]) -> Series:
-        return cls([Fraction(s) for s in strings])
-
     # -- housekeeping ---------------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -455,6 +444,8 @@ def lambert(base: int, order: int) -> Series:
     """
     if base < 1:
         raise ValueError("base exponent must be a positive integer")
+    if order < 0:
+        raise ValueError("order must be non-negative")
     coeffs = [0] * (order + 1)
     for n in range(1, order // base + 1):
         for m in range(base * n, order + 1, base * n):

@@ -68,13 +68,12 @@ def a_lambert(order: int) -> Series:
 
     The n = 0 terms supply the coefficient 6 of q^1.
     """
-    coeffs = [0] * (order + 1)
-    coeffs[0] = 1
+    coeffs = [1] + [0] * order
     for n in range((order + 2) // 3):  # every n with 3n + 1 <= order
         for e, s in ((3 * n + 1, 6), (3 * n + 2, -6)):
             for m in range(e, order + 1, e):
                 coeffs[m] += s
-    return Series(coeffs)
+    return Series(coeffs, order)  # Series rejects a negative order
 
 
 def a_eta(order: int) -> Series:

@@ -1,6 +1,5 @@
 """Bailey pair construction, the defining relation, and lemma specializations."""
 
-import json
 from dataclasses import replace
 from fractions import Fraction
 
@@ -13,8 +12,6 @@ from sptlab.bailey import (
     DegenerateParameterError,
     derivative_identity_sides,
     lemma_sides,
-    pair_from_json,
-    pair_to_json,
     slater_j1,
     slater_j1_window,
     verify_pair,
@@ -118,7 +115,7 @@ class TestDefiningRelation:
         assert (left, right) == (1, 2)
 
     def test_unit_pair_passes(self):
-        assert verify_pair(unit_pair(6, 24)) is None
+        assert verify_pair(unit_pair(6, 24), 24) is None
 
     def test_broken_beta_reports_position(self):
         pair = slater_j1(3, 16)
@@ -289,69 +286,6 @@ class TestDerivativeIdentity:
     def test_pair_tabulated_below_the_order_rejected(self):
         with pytest.raises(ValueError, match="shortfall"):
             derivative_identity_sides(slater_j1(10, 5), 10)
-
-
-class TestPairSerialization:
-    def test_round_trip(self, tmp_path):
-        pair = slater_j1(3, 8)
-        data = pair_to_json(pair)
-        assert set(data) == {"n_max", "order", "alpha", "beta"}
-        assert data["n_max"] == 3 and data["order"] == 8
-        path = tmp_path / "pair.json"
-        path.write_text(json.dumps(data))
-        loaded = pair_from_json(path)
-        assert loaded.alpha == pair.alpha
-        assert loaded.beta == pair.beta
-        assert verify_pair(loaded) is None
-
-    def test_from_dict(self):
-        data = {
-            "n_max": 1,
-            "order": 2,
-            "alpha": [["1/1", "0/1", "0/1"], ["0/1", "0/1", "0/1"]],
-            "beta": [["1/1", "0/1", "0/1"], ["1/1", "2/1", "3/1"]],
-        }
-        pair = pair_from_json(data)
-        assert verify_pair(pair) is None
-
-    def test_short_row_rejected(self):
-        data = pair_to_json(slater_j1(3, 6))
-        data["beta"][2] = data["beta"][2][:3]
-        with pytest.raises(ValueError, match="beta_2 has 3 coefficients, not order \\+ 1 = 7"):
-            pair_from_json(data)
-
-    def test_long_row_rejected(self):
-        data = pair_to_json(slater_j1(3, 6))
-        data["alpha"][3] = data["alpha"][3] + ["5/1"]
-        with pytest.raises(ValueError, match="alpha_3 has 8 coefficients"):
-            pair_from_json(data)
-
-    def test_string_row_rejected(self):
-        # a string of order + 1 characters must not load as 1 + 2q + 3q^2
-        data = pair_to_json(slater_j1(1, 2))
-        data["beta"][1] = "123"
-        with pytest.raises(ValueError, match="beta_1 is not an array"):
-            pair_from_json(data)
-
-    def test_missing_key_rejected(self):
-        data = pair_to_json(slater_j1(1, 2))
-        del data["n_max"]
-        with pytest.raises(ValueError, match="'n_max'"):
-            pair_from_json(data)
-
-    @pytest.mark.parametrize("key", ["order", "n_max"])
-    @pytest.mark.parametrize("value", [2.9, "3", True], ids=["float", "string", "bool"])
-    def test_non_int_size_rejected(self, key, value):
-        # int() would read 2.9 as 2 and "3" as 3, and True passes for 1
-        data = pair_to_json(slater_j1(1, 2))
-        data[key] = value
-        with pytest.raises(ValueError, match=f"'{key}' must be an int"):
-            pair_from_json(data)
-
-    def test_row_count_must_match(self):
-        data = {"n_max": 2, "order": 1, "alpha": [["1/1"]], "beta": [["1/1"]]}
-        with pytest.raises(ValueError):
-            pair_from_json(data)
 
 
 class TestPairValidation:

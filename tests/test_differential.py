@@ -94,10 +94,6 @@ class TestAgainstTheReference:
             else:
                 assert residue(c, p, k) == c.numerator * pow(c.denominator, -1, p) % p
 
-    @given(coeff_lists)
-    def test_to_strings(self, fs):
-        assert Series(fs).to_strings() == [f"{c.numerator}/{c.denominator}" for c in fs]
-
 
 class TestCanonicalForm:
     @given(coeff_lists)
@@ -124,6 +120,6 @@ class TestCanonicalForm:
     def test_a_cancelled_denominator_is_gone(self):
         s = Series([Fraction(1, 2), Fraction(1, 2)]) * 2
         assert s == Series([1, 1])
-        assert s.to_strings() == ["1/1", "1/1"]
+        assert [(c.numerator, c.denominator) for c in s.coeffs] == [(1, 1), (1, 1)]
         assert s - s == Series([0, 0])
         assert (one(3) * Fraction(1, 6)).truncate(0) == Series([Fraction(1, 6)])

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from sptlab import bailey, cli, identities, partitions, theta
-from sptlab.series import Series
+from sptlab.series import Series, lambert
 
 ORDER = 24
 BOUND = 14
@@ -61,6 +61,21 @@ class TestRun:
         with pytest.raises(ValueError, match=f"oracle bound must be at most {cap}"):
             identities.run("I11", 12, cap + 1)
         assert identities.run("I1", 12, cap).status == "pass"  # I1 reads no oracle
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: lambert(1, -1),
+            lambda: theta.a_lambert(-1),
+            lambda: bailey.lemma_sides(bailey.slater_j1_window(5), -1, -1, -1),
+            lambda: bailey.derivative_identity_sides(bailey.slater_j1_window(5), -1),
+        ],
+        ids=["lambert", "a_lambert", "lemma_sides", "derivative_identity_sides"],
+    )
+    def test_negative_order_rejected(self, call):
+        # not an empty series, an IndexError, or sides read off the last row
+        with pytest.raises(ValueError, match="order must be non-negative"):
+            call()
 
     def test_order_cap(self):
         cap = identities.MAX_ORDER

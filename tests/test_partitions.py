@@ -113,6 +113,11 @@ class TestSigma:
     def test_integral_fraction_accepted(self):
         assert sigma(1, Fraction(9, 3)) == 4
 
+    def test_negative_power_rejected(self):
+        # d^k for k < 0 is a float in Python, and nothing here is a float
+        with pytest.raises(ValueError, match="divisor power must be non-negative"):
+            sigma(-1, 6)
+
 
 class TestRank:
     def test_rank_examples(self):

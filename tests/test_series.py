@@ -299,17 +299,6 @@ class TestCompare:
             one(3).equal_up_to(one(5), 4)
 
 
-class TestSerialization:
-    def test_round_trip(self):
-        f = Series([1, Fraction(-3, 4), 0, Fraction(7, 2)])
-        strings = f.to_strings()
-        assert strings == ["1/1", "-3/4", "0/1", "7/2"]
-        assert Series.from_strings(strings) == f
-
-    def test_from_plain_integer_strings(self):
-        assert Series.from_strings(["2", "-5"]).coeffs == (2, -5)
-
-
 class TestProperties:
     @settings(deadline=None, max_examples=60)
     @given(coeff_lists, coeff_lists, st.data())
