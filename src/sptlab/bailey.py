@@ -3,8 +3,8 @@ Bailey's lemma, and the double-derivative identity that generates the
 restricted smallest-parts series.
 
 A pair stores alpha_n and beta_n as truncated series for 0 <= n <= n_max,
-relative to the parameter a = 1 (the only value this package needs).  The
-defining relation
+row n through one order that never grows with n, relative to the parameter
+a = 1 (the only value this package needs).  The defining relation
 
     beta_n = sum_{r=0..n} alpha_r / ((aq;q)_{n+r} (q;q)_{n-r})
 
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from types import SimpleNamespace
 
 from .series import Series, exact, lambert, one, zero
 
@@ -32,9 +31,9 @@ class BaileyPair:
     def __post_init__(self):
         if len(self.alpha) != len(self.beta) or not self.alpha:
             raise ValueError("alpha and beta must be tabulated for the same 0..n_max")
-        orders = {s.order for s in self.alpha} | {s.order for s in self.beta}
-        if len(orders) != 1:
-            raise ValueError("all tabulated series must share one truncation order")
+        orders = [s.order for s in self.alpha]
+        if orders != [s.order for s in self.beta] or orders != sorted(orders, reverse=True):
+            raise ValueError("alpha_n and beta_n must share one truncation order that never grows with n")
 
     @property
     def n_max(self) -> int:
@@ -42,12 +41,15 @@ class BaileyPair:
 
     @property
     def order(self) -> int:
-        return self.alpha[0].order
+        """The truncation order that every row reaches."""
+        return self.alpha[-1].order
 
 
 def _j1_rows(orders) -> dict[str, tuple[Series, ...]]:
     """alpha_n and beta_n of J(1) for n = 0, 1, ..., row n through q^orders[n];
     the orders must not increase, since beta_n is stepped from beta_(n-1)."""
+    if not orders:
+        raise ValueError("tabulate at least row n = 0")
     alpha, beta = [one(orders[0])], [one(orders[0])]
     for n, order in enumerate(orders[1:], 1):
         cs = [0] * (order + 1)
@@ -74,24 +76,24 @@ def slater_j1(n_max: int, order: int) -> BaileyPair:
     are used for n >= 1, with alpha vanishing off multiples of 3; beta_n is stepped
     from beta_1 = 1/(1-q)^2 by beta_n/beta_{n-1} = (1-q^(3n-3))/((1-q^n)(1-q^(2n-2))(1-q^(2n-1))).
     """
-    if n_max < 1:
-        raise ValueError("tabulate at least n = 1")
     return BaileyPair(**_j1_rows([order] * (n_max + 1)))
 
 
-def slater_j1_window(order: int) -> SimpleNamespace:
-    """The ``alpha`` and ``beta`` rows n = 0..order of J(1) that the sides
-    through q^order read, row n through q^(order - n); not memoized."""
-    return SimpleNamespace(**_j1_rows(range(order, -1, -1)))
+def slater_j1_window(order: int) -> BaileyPair:
+    """The rows n = 0..order of J(1) that the sides through q^order read,
+    row n through q^(order - n); not memoized."""
+    return BaileyPair(**_j1_rows(range(order, -1, -1)))
 
 
 def verify_pair(pair: BaileyPair, order: int):
-    """Check the defining relation for every 1 <= n <= n_max.
+    """Check the defining relation through q^order for every 1 <= n <= n_max.
 
     Returns None on success, else (n, k, left, right): the first pair index
-    n and coefficient exponent k where beta_n differs from the alpha sum.
+    n and coefficient exponent k where beta_n differs from the alpha sum.  A
+    table with no row n >= 1, or a row short of q^order, is refused.
     """
-    order = min(order, pair.order)
+    if pair.n_max < 1 or order > pair.order:
+        raise ValueError(f"truncation shortfall: a check through q^{order} needs a row n >= 1 and every row through q^{order}")
     for n in range(1, pair.n_max + 1):
         rhs = zero(order)
         for r in range(n + 1):
@@ -104,16 +106,15 @@ def verify_pair(pair: BaileyPair, order: int):
     return None
 
 
-def _require_depth(pair, order: int) -> None:
+def _require_depth(pair: BaileyPair, order: int) -> None:
     """Sides through q^order read the rows n <= order, row n through q^(order - n)."""
     if order < 0:
         raise ValueError("order must be non-negative")
-    rows = (pair.alpha, pair.beta)
-    if min(map(len, rows)) <= order or any(r[n].order < order - n for r in rows for n in range(order + 1)):
+    if pair.n_max < order or any(pair.alpha[n].order < order - n for n in range(order + 1)):
         raise ValueError(f"truncation shortfall: sides through q^{order} need rows n <= {order} through q^({order} - n)")
 
 
-def lemma_sides(pair, z, y, order: int) -> tuple[Series, Series]:
+def lemma_sides(pair: BaileyPair, z, y, order: int) -> tuple[Series, Series]:
     """Both sides of Bailey's lemma at the numeric specialization (z, y), a = 1.
 
     Left:  sum_n (z;q)_n (y;q)_n (q/zy)^n beta_n
@@ -122,8 +123,8 @@ def lemma_sides(pair, z, y, order: int) -> tuple[Series, Series]:
 
     z = 1 or y = 1 makes (z;q)_n or (y;q)_n vanish for n >= 1, so both sides
     collapse to their n = 0 terms; that is flagged as degenerate rather than
-    reported as a meaningful match.  Summand n is O(q^n), so ``pair`` (a
-    ``BaileyPair`` or ``slater_j1_window``) needs rows n <= order through q^(order - n).
+    reported as a meaningful match.  Summand n is O(q^n), so ``pair`` needs
+    rows n <= order through q^(order - n).
     """
     z, y = exact(z), exact(y)
     if z == 0 or y == 0:
@@ -148,14 +149,14 @@ def lemma_sides(pair, z, y, order: int) -> tuple[Series, Series]:
     return lhs, rhs.qmul(1, 1, 1, None, -1).qmul(w, 1, 1, None, -1)
 
 
-def derivative_identity_sides(pair, order: int) -> tuple[Series, Series]:
+def derivative_identity_sides(pair: BaileyPair, order: int) -> tuple[Series, Series]:
     """Both sides of the lemma differentiated in z and y at z = y = a = 1:
 
     sum_{n>=1} (q;q)_{n-1}^2 beta_n q^n
         = alpha_0 sum_{n>=1} n q^n/(1-q^n) + sum_{n>=1} alpha_n q^n/(1-q^n)^2.
 
-    Summand n is O(q^n) on both sides, so ``pair`` (a ``BaileyPair`` or
-    ``slater_j1_window``) needs rows n <= order through q^(order - n).
+    Summand n is O(q^n) on both sides, so ``pair`` needs rows n <= order
+    through q^(order - n).
     """
     _require_depth(pair, order)
     lhs = zero(0)  # nested from the top: acc_n = q^n beta_n + (1 - q^n)^2 acc_(n+1), as acc_n / q^(n-1)

@@ -367,6 +367,8 @@ def run(check_id: str, order: int | None = None, oracle_bound: int | None = None
     meta, check, erratum = _BY_ID[check_id]
     n = meta.order if order is None else order
     b = DEFAULT_ORACLE_BOUND if oracle_bound is None else oracle_bound
+    if not (isinstance(n, int) and isinstance(b, int)):
+        raise TypeError(f"order and oracle bound must be ints, not {type(n).__name__} and {type(b).__name__}")
     if n < 10:
         raise ValueError("order must be at least 10")
     if n > MAX_ORDER:

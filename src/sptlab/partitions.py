@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
-from .series import Series, integral, monomial, one, prefix_cache, zero
+from .series import Series, _over_pentagonal, _pentagonal, _ratio, integral, monomial, one, prefix_cache, zero
 
 Partition = tuple[int, ...]
 
@@ -58,41 +58,29 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
         yield tuple(x[: m + 1])
 
 
-_P_CACHE = [1]
+_P_TABLE = (1,)  # p(0), p(1), ...: replaced whole, never filled in place
 
 
 def p_count(n: int) -> int:
-    """p(n) by Euler's pentagonal-number recurrence."""
+    """p(n): the coefficients of 1/(q;q)_inf, by Euler's pentagonal-number
+    recurrence, continued past the table built so far."""
+    global _P_TABLE
     if n < 0:
         raise ValueError("p(n) needs n >= 0")
-    cache = _P_CACHE
-    while len(cache) <= n:
-        m = len(cache)
-        total = 0
-        k = 1
-        while True:
-            g1 = k * (3 * k - 1) // 2
-            if g1 > m:
-                break
-            sign = 1 if k % 2 else -1
-            total += sign * cache[m - g1]
-            g2 = k * (3 * k + 1) // 2
-            if g2 <= m:
-                total += sign * cache[m - g2]
-            k += 1
-        cache.append(total)
-    return cache[n]
+    table = _P_TABLE
+    if n >= len(table):  # at least double it, so an ascending fill costs O(n^1.5)
+        x = [*table, *[0] * max(n + 1 - len(table), len(table))]
+        _over_pentagonal(x, *_pentagonal(1, len(x) - 1), len(table))
+        table = _P_TABLE = tuple(x)
+    return table[n]
 
 
 def sigma(k: int, n) -> int:
     """Divisor power sum sum_{d|n} d^k for k >= 0; zero unless n is a positive integer."""
     if k < 0:
         raise ValueError("divisor power must be non-negative")
-    if isinstance(n, Fraction):
-        if n.denominator != 1:
-            return 0
-        n = n.numerator
-    if n < 1:
+    n, den = _ratio(n)  # a float is a TypeError
+    if den != 1 or n < 1:
         return 0
     total = 0
     d = 1

@@ -333,9 +333,10 @@ def _times_pentagonal(x: list, minus: list, plus: list) -> None:
             x[e:] = map(op, x[e:], src)
 
 
-def _over_pentagonal(x: list, minus: list, plus: list) -> None:
-    """x <- x / (1 - sum_minus q^e + sum_plus q^e) in place, by the upward recurrence."""
-    for m in range(1, len(x)):
+def _over_pentagonal(x: list, minus: list, plus: list, start: int = 1) -> None:
+    """x <- x / (1 - sum_minus q^e + sum_plus q^e) in place, by the upward
+    recurrence; x[:start] must already be divided."""
+    for m in range(start, len(x)):
         v = x[m]
         for e in minus:
             if e > m:

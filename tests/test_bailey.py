@@ -117,6 +117,17 @@ class TestDefiningRelation:
     def test_unit_pair_passes(self):
         assert verify_pair(unit_pair(6, 24), 24) is None
 
+    def test_a_table_short_of_the_order_is_refused(self):
+        # not a pass after comparing through q^16 only
+        with pytest.raises(ValueError, match="truncation shortfall"):
+            verify_pair(slater_j1(3, 16), 40)
+
+    def test_a_table_without_row_one_is_refused(self):
+        # not a pass after comparing nothing
+        for pair in (BaileyPair((one(5),), (one(5),)), slater_j1(0, 5)):
+            with pytest.raises(ValueError, match="truncation shortfall"):
+                verify_pair(pair, 5)
+
     def test_broken_beta_reports_position(self):
         pair = slater_j1(3, 16)
         beta = list(pair.beta)
@@ -240,6 +251,14 @@ class TestWindow:
         assert lemma_sides(wide, -1, -1, 10) == lemma_sides(exact_fit, -1, -1, 10)
         assert derivative_identity_sides(wide, 10) == derivative_identity_sides(exact_fit, 10)
 
+    def test_the_window_is_a_bailey_pair_through_its_last_row(self):
+        window = slater_j1_window(10)
+        assert isinstance(window, BaileyPair)
+        assert (window.n_max, window.order) == (10, 0)
+        assert verify_pair(window, 0) is None
+        with pytest.raises(ValueError, match="truncation shortfall"):
+            verify_pair(window, 1)
+
     def test_a_narrower_window_rejected(self):
         window = slater_j1_window(10)
         with pytest.raises(ValueError, match="shortfall"):
@@ -292,6 +311,16 @@ class TestPairValidation:
     def test_mismatched_orders_rejected(self):
         with pytest.raises(ValueError):
             BaileyPair((one(4), zero(4)), (one(4), zero(5)))
+
+    def test_row_orders_that_grow_with_n_rejected(self):
+        with pytest.raises(ValueError, match="never grows with n"):
+            BaileyPair((one(4), zero(5)), (one(4), zero(5)))
+
+    def test_no_rows_rejected(self):
+        # not an IndexError from the row builder
+        for build in (lambda: slater_j1(-1, 5), lambda: slater_j1_window(-1)):
+            with pytest.raises(ValueError, match="tabulate at least row n = 0"):
+                build()
 
     def test_empty_tables_rejected(self):
         with pytest.raises(ValueError):

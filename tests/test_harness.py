@@ -77,6 +77,12 @@ class TestRun:
         with pytest.raises(ValueError, match="order must be non-negative"):
             call()
 
+    @pytest.mark.parametrize("order, bound", [(10.5, 12), (12, 12.0)])
+    def test_non_int_order_or_bound_rejected(self, order, bound):
+        # raised before any check runs, not reported as a check error
+        with pytest.raises(TypeError, match="order and oracle bound must be ints"):
+            identities.run("I1", order, bound)
+
     def test_order_cap(self):
         cap = identities.MAX_ORDER
         with pytest.raises(ValueError, match=f"order must be at most {cap}"):

@@ -1,8 +1,14 @@
 """Partition statistics: enumeration oracles against generating functions."""
 
+import random
+import sys
+import threading
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     ascending_partitions,
@@ -14,6 +20,7 @@ from conftest import (
     dp_partition_count_parts_mult3,
     recursive_partitions,
 )
+from sptlab import partitions
 from sptlab.partitions import (
     enumerate_partitions,
     p3,
@@ -97,6 +104,57 @@ class TestCounting:
         assert all(inv[n] == p_count(n) for n in range(31))
 
 
+@lru_cache(maxsize=None)
+def dp_counts() -> tuple[int, ...]:
+    """p(0), ..., p(300) by the coin DP."""
+    return tuple(map(dp_partition_count, range(301)))
+
+
+def on_a_cleared_table(calls):
+    """Run ``calls()`` with p_count's table back at p(0) alone, then restore it."""
+    kept = partitions._P_TABLE
+    partitions._P_TABLE = (1,)
+    try:
+        return calls()
+    finally:
+        partitions._P_TABLE = kept
+
+
+class TestCountingContinuesItsTable:
+    @settings(deadline=None, max_examples=40)
+    @given(st.lists(st.integers(0, 300), min_size=1, max_size=12))
+    def test_any_call_order_matches_the_dp(self, ns):
+        got = on_a_cleared_table(lambda: [p_count(n) for n in ns])
+        assert got == [dp_counts()[n] for n in ns]
+
+    def test_threads_racing_on_a_cleared_table_match_the_dp(self):
+        expected = dp_counts()[:201]
+        failures = []
+
+        def worker(seed):
+            rng = random.Random(seed)
+            for n in rng.sample(range(len(expected)), 40):
+                if p_count(n) != expected[n]:
+                    failures.append(n)
+
+        def race():
+            workers = [threading.Thread(target=worker, args=(s,)) for s in range(8)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=30)
+            return workers
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                assert not any(w.is_alive() for w in on_a_cleared_table(race))
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == []
+
+
 class TestSigma:
     def test_frozen(self):
         assert sigma(1, 6) == 12
@@ -117,6 +175,11 @@ class TestSigma:
         # d^k for k < 0 is a float in Python, and nothing here is a float
         with pytest.raises(ValueError, match="divisor power must be non-negative"):
             sigma(-1, 6)
+
+    def test_float_rejected(self):
+        # sigma(1, 6.0) was the float 12.0
+        with pytest.raises(TypeError, match="not float"):
+            sigma(1, 6.0)
 
 
 class TestRank:
