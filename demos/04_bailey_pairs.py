@@ -37,7 +37,7 @@ print("(fails immediately at n = 1: the relation pins alpha_0 = 1)")
 
 print()
 print("== Bailey's lemma at (z, y) = (-1, -1) ==")
-lhs, rhs = lemma_sides(pair, -1, -1, N)
+lhs, rhs = lemma_sides(pair, N)
 print("left side :", lhs)
 print("right side:", rhs)
 print("first difference:", lhs.equal_up_to(rhs, N))

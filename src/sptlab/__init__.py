@@ -32,7 +32,6 @@ from .theta import (
 )
 from .bailey import (
     BaileyPair,
-    DegenerateParameterError,
     derivative_identity_sides,
     lemma_sides,
     slater_j1,

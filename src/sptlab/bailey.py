@@ -1,5 +1,5 @@
-"""Bailey pairs as data: the defining relation, numeric specializations of
-Bailey's lemma, and the double-derivative identity that generates the
+"""Bailey pairs as data: the defining relation, Bailey's lemma at
+(z, y) = (-1, -1), and the double-derivative identity that generates the
 restricted smallest-parts series.
 
 A pair stores alpha_n and beta_n as truncated series for 0 <= n <= n_max,
@@ -16,11 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .series import Series, exact, lambert, one, zero
-
-
-class DegenerateParameterError(ValueError):
-    """A lemma specialization where (z;q)_n or (y;q)_n vanishes identically."""
+from .series import Series, lambert, one, zero
 
 
 @dataclass(frozen=True)
@@ -114,39 +110,25 @@ def _require_depth(pair: BaileyPair, order: int) -> None:
         raise ValueError(f"truncation shortfall: sides through q^{order} need rows n <= {order} through q^({order} - n)")
 
 
-def lemma_sides(pair: BaileyPair, z, y, order: int) -> tuple[Series, Series]:
-    """Both sides of Bailey's lemma at the numeric specialization (z, y), a = 1.
+def lemma_sides(pair: BaileyPair, order: int) -> tuple[Series, Series]:
+    """Both sides of Bailey's lemma at (z, y) = (-1, -1), a = 1, where q/zy = q:
 
-    Left:  sum_n (z;q)_n (y;q)_n (q/zy)^n beta_n
-    Right: [(q/z)_inf (q/y)_inf / ((q)_inf (q/zy)_inf)]
-           * sum_n (z;q)_n (y;q)_n (q/zy)^n alpha_n / ((q/z;q)_n (q/y;q)_n)
+    Left:  sum_n (-1;q)_n^2 q^n beta_n
+    Right: [(-q;q)_inf^2 / (q;q)_inf^2] * sum_n (-1;q)_n^2 q^n alpha_n / (-q;q)_n^2
 
-    z = 1 or y = 1 makes (z;q)_n or (y;q)_n vanish for n >= 1, so both sides
-    collapse to their n = 0 terms; that is flagged as degenerate rather than
-    reported as a meaningful match.  Summand n is O(q^n), so ``pair`` needs
-    rows n <= order through q^(order - n).
+    Summand n is O(q^n), so ``pair`` needs rows n <= order through q^(order - n).
     """
-    z, y = exact(z), exact(y)
-    if z == 0 or y == 0:
-        raise ValueError("z and y must be nonzero")
-    if z == 1 or y == 1:
-        raise DegenerateParameterError(
-            "z = 1 or y = 1 zeroes every term with n >= 1 on both sides"
-        )
     _require_depth(pair, order)
-    w = 1 / (z * y)  # (q/zy)^n contributes w^n q^n
 
-    def step(acc, n):  # w q (1 - z q^n)(1 - y q^n) acc: term n+1 over term n
-        return (acc.shift(1) * w).qmul(z, n, 1, 1).qmul(y, n, 1, 1)
+    def step(acc, n):  # q (1 + q^n)^2 acc: term n+1 over term n
+        return acc.shift(1).qmul(-1, n, 1, 1, 2)
 
     # nested from the top: acc_n = term_n + step(acc_(n+1), n), carried through q^(order - n)
     lhs, total = pair.beta[order].truncate(0), pair.alpha[order].truncate(0)
     for n in range(order - 1, -1, -1):
         lhs = pair.beta[n] + step(lhs, n)
-        total = pair.alpha[n] + step(total, n).qmul(1 / z, n + 1, 1, 1, -1).qmul(1 / y, n + 1, 1, 1, -1)
-
-    rhs = total.qmul(1 / z, 1, 1, None).qmul(1 / y, 1, 1, None)
-    return lhs, rhs.qmul(1, 1, 1, None, -1).qmul(w, 1, 1, None, -1)
+        total = pair.alpha[n] + step(total, n).qmul(-1, n + 1, 1, 1, -2)
+    return lhs, total.qmul(-1, 1, 1, None, 2).qmul(1, 1, 1, None, -2)
 
 
 def derivative_identity_sides(pair: BaileyPair, order: int) -> tuple[Series, Series]:

@@ -149,7 +149,7 @@ def _chk_i5(order, bound):
 
 
 def _chk_i6(order, bound):
-    lhs, rhs = bailey.lemma_sides(bailey.slater_j1_window(order), -1, -1, order)
+    lhs, rhs = bailey.lemma_sides(bailey.slater_j1_window(order), order)
     return _coeffs(lhs, rhs, order)
 
 

@@ -76,7 +76,9 @@ def p_count(n: int) -> int:
 
 
 def sigma(k: int, n) -> int:
-    """Divisor power sum sum_{d|n} d^k for k >= 0; zero unless n is a positive integer."""
+    """Divisor power sum sum_{d|n} d^k for an int k >= 0; zero unless n is a positive integer."""
+    if not isinstance(k, int):
+        raise TypeError(f"the divisor power is an int, not {type(k).__name__}")
     if k < 0:
         raise ValueError("divisor power must be non-negative")
     n, den = _ratio(n)  # a float is a TypeError

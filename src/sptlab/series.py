@@ -174,12 +174,10 @@ class Series:
         are 1 + O(q^(order+1)), so the truncation is exact, not approximate).
         An infinite product needs start >= 1 to stabilize termwise.
 
-        A full Euler product (q^k;q^k)_inf (count None, c = 1, start = step = k) goes
-        by its pentagonal-number expansion, any other product one binomial at a
-        time.  With c = a/b, multiplying by (1 - c*q^e) multiplies the numerators by
-        (b - a*q^e) and the denominator by b.  Dividing first scales the
-        numerators and the denominator by b^M, M = |power| * sum_e order // e,
-        so that every division by b in the upward scans is exact.
+        c is 1 or -1, as an int or an integral Fraction, so every factor has int
+        coefficients and the denominator never changes.  A full Euler product
+        (q^k;q^k)_inf (count None, c = 1, start = step = k) goes by its
+        pentagonal-number expansion, any other product one binomial at a time.
         """
         if step < 1:
             raise ValueError("step must be a positive integer")
@@ -192,31 +190,24 @@ class Series:
         if power < 0 and start == 0 and count != 0:
             raise ValueError("cannot divide by a factor at q^0 in place")
         a, b = _ratio(c)
+        if b != 1 or a not in (1, -1):
+            raise ValueError(f"a factor (1 - c*q^e) needs c = 1 or -1, not c = {c}")
         order = self.order
         last = order if count is None else min(order, start + (count - 1) * step)
         exponents = range(start, last + 1, step)
-        if a == 0 or power == 0 or not exponents:
+        if power == 0 or not exponents:
             return self
         x = list(self._num)
-        den = self._den
-        if count is None and a == b == 1 and start == step:  # a full Euler product
+        if count is None and a == 1 and start == step:  # a full Euler product
             minus, plus = _pentagonal(step, order)
             for _ in range(abs(power)):
                 (_times_pentagonal if power > 0 else _over_pentagonal)(x, minus, plus)
-        elif power > 0:
-            for e in exponents:
-                for _ in range(power):
-                    _times_binomial(x, a, b, e)
-            den *= b ** (power * len(exponents))
         else:
-            if b != 1:
-                scale = b ** (-power * sum(order // e for e in exponents))
-                x = [v * scale for v in x]
-                den *= scale
+            binomial = _times_binomial if power > 0 else _over_binomial
             for e in exponents:
-                for _ in range(-power):
-                    _over_binomial(x, a, b, e)
-        return _canonical(x, den)
+                for _ in range(abs(power)):
+                    binomial(x, a, e)
+        return _canonical(x, self._den)
 
     # -- structural operations ----------------------------------------------
 
@@ -293,27 +284,17 @@ def _canonical(nums, den: int) -> Series:
     return _series(nums, den)
 
 
-def _times_binomial(x: list, a: int, b: int, e: int) -> None:
-    """x <- (b - a*q^e) x in place, through the truncation order."""
-    if e == 0:
-        x[:] = map((b - a).__mul__, x)
-        return
-    shifted = x[:-e]
-    if b != 1:
-        x[:] = map(b.__mul__, x)
-    x[e:] = map(sub, x[e:], shifted if a == 1 else map(a.__mul__, shifted))
+def _times_binomial(x: list, c: int, e: int) -> None:
+    """x <- (1 - c*q^e) x in place, c = 1 or -1, through the truncation order."""
+    x[e:] = map(sub if c == 1 else add, x[e:], x[: len(x) - e])
 
 
-def _over_binomial(x: list, a: int, b: int, e: int) -> None:
-    """x <- x / (1 - (a/b)*q^e) in place, e >= 1: x_k += (a/b) x_(k-e), upward.
-
-    Block by block of e: each block takes (a/b) times the finished block
-    before it.  Each a*x_(k-e) it divides by b must be divisible by b (see
-    ``Series.qmul``).
-    """
-    step = add if a == b == 1 else (lambda prev, v: v + a * prev // b)
+def _over_binomial(x: list, c: int, e: int) -> None:
+    """x <- x / (1 - c*q^e) in place, c = 1 or -1, e >= 1: x_k += c x_(k-e),
+    upward, block by block of e, each block from the finished block before it."""
+    op = add if c == 1 else sub
     for s in range(e, len(x), e):
-        x[s : s + e] = map(step, x[s - e : s], x[s : s + e])
+        x[s : s + e] = map(op, x[s : s + e], x[s - e : s])
 
 
 def _pentagonal(k: int, order: int) -> tuple[list, list]:
@@ -432,8 +413,8 @@ def prefix_cache(build):
 def poch(c: Rational, start: int, step: int, count: int | None, order: int) -> Series:
     """q-Pochhammer-style product prod_j (1 - c*q^(start + j*step)) through q^order.
 
-    The factors, and the rules on them, are those of ``Series.qmul``.
-    Examples: (a;q)_n = poch(a, 0, 1, n, N); (q^3;q^3)_inf = poch(1, 3, 3, None, N).
+    The factors, and the rules on them (c = 1 or -1), are those of ``Series.qmul``.
+    Examples: (-1;q)_n = poch(-1, 0, 1, n, N); (q^3;q^3)_inf = poch(1, 3, 3, None, N).
     """
     return one(order).qmul(c, start, step, count)
 

@@ -92,7 +92,9 @@ def R_lattice(k: int) -> int:
 
 
 def R_closed(n: int) -> int:
-    """12 sigma(n) - 36 sigma(n/3) for n >= 1."""
+    """12 sigma(n) - 36 sigma(n/3) for an int n >= 1."""
+    if not isinstance(n, int):
+        raise TypeError(f"the closed form takes an int n, not {type(n).__name__}")
     if n < 1:
         raise ValueError("the closed form applies to n >= 1")
     return 12 * sigma(1, n) - 36 * sigma(1, Fraction(n, 3))

@@ -7,6 +7,9 @@ records ``golden_digests.json`` beside this file:
     verify-60-40, verify-240-40
         ``report(run_all(order, bound), order, bound)`` as canonical JSON, with
         ``runtime_ms`` removed and ``all_passed`` as the exit status
+    verify-1000-40, verify-2000-40
+        the same at the orders too slow for the test suite; CI compares them
+        with ``check(order, bound)``
     id-I1 .. id-I22
         the same for ``run(id, 24, 14)`` alone, as ``verify --id`` reports it
     exports
@@ -34,6 +37,7 @@ from sptlab import identities, theta
 
 DIGESTS = Path(__file__).resolve().parent / "golden_digests.json"
 RUNS = ((60, 40), (240, 40))
+LONG_RUNS = ((1000, 40), (2000, 40))
 ID_ORDER, ID_BOUND = 24, 14
 UPTOS = range(0, 151)
 FORMATS = ("csv", "json")
@@ -51,8 +55,12 @@ def canonical(results, order: int, bound: int) -> dict:
     return json.loads(json.dumps(report))
 
 
+def verify_reports(runs) -> dict[str, dict]:
+    return {f"verify-{o}-{b}": canonical(identities.run_all(o, b), o, b) for o, b in runs}
+
+
 def reports() -> dict[str, dict]:
-    out = {f"verify-{o}-{b}": canonical(identities.run_all(o, b), o, b) for o, b in RUNS}
+    out = verify_reports(RUNS)
     for meta in identities.registry():
         out[f"id-{meta.id}"] = canonical([identities.run(meta.id, ID_ORDER, ID_BOUND)], ID_ORDER, ID_BOUND)
     return out
@@ -67,8 +75,12 @@ def exports() -> dict[tuple[str, int, str], str]:
     }
 
 
+def digest(report: dict) -> str:
+    return sha256(json.dumps(report, sort_keys=True, separators=(",", ":")))
+
+
 def digests(reports: dict[str, dict], exports: dict) -> dict[str, str]:
-    out = {key: sha256(json.dumps(r, sort_keys=True, separators=(",", ":"))) for key, r in reports.items()}
+    out = {key: digest(r) for key, r in reports.items()}
     out["exports"] = sha256("\n".join(sha256(text) for text in exports.values()))
     return out
 
@@ -98,8 +110,21 @@ def refusals(reports: dict[str, dict], exports: dict) -> list[str]:
     return problems
 
 
+def check(order: int, bound: int) -> int:
+    """0 when ``verify`` at (order, bound) matches its recorded digest, else 1:
+
+        PYTHONPATH=src:tests python -c "import golden_digests as g; raise SystemExit(g.check(1000, 40))"
+    """
+    [(key, report)] = verify_reports([(order, bound)]).items()
+    recorded = json.loads(DIGESTS.read_text()).get(key)
+    if digest(report) != recorded:
+        print(f"{key}: the report does not match its recorded digest", file=sys.stderr)
+        return 1
+    return 0
+
+
 def main() -> int:
-    got_reports, got_exports = reports(), exports()
+    got_reports, got_exports = reports() | verify_reports(LONG_RUNS), exports()
     problems = refusals(got_reports, got_exports)
     if problems:
         print("not recording:", *problems, sep="\n  ", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Bailey pair construction, the defining relation, and lemma specializations."""
+"""Bailey pair construction, the defining relation, and the lemma at (z, y) = (-1, -1)."""
 
 from dataclasses import replace
 from fractions import Fraction
@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from sptlab.bailey import (
     BaileyPair,
-    DegenerateParameterError,
     derivative_identity_sides,
     lemma_sides,
     slater_j1,
@@ -44,9 +43,9 @@ def literal_alpha0_pair(n_max: int, order: int) -> BaileyPair:
 
 def reference_lemma_sides(pair: BaileyPair, z, y, order: int) -> tuple[Series, Series]:
     """Both sides of Bailey's lemma at (z, y), a = 1, each summed in its own
-    loop that builds (z;q)_n (y;q)_n (q/zy)^n afresh: the differential
-    reference for ``lemma_sides``, which builds no weight and nests both
-    sums from n = order down by Horner's rule."""
+    loop that builds (z;q)_n (y;q)_n (q/zy)^n afresh: at (-1, -1), the
+    differential reference for ``lemma_sides``, which builds no weight and
+    nests both sums from n = order down by Horner's rule."""
     z, y = Fraction(z), Fraction(y)
     w = 1 / (z * y)
 
@@ -140,58 +139,35 @@ class TestDefiningRelation:
 class TestLemmaSpecialization:
     def test_minus_one_minus_one_agrees_for_slater(self):
         order = 30
-        lhs, rhs = lemma_sides(slater_j1(order, order), -1, -1, order)
+        lhs, rhs = lemma_sides(slater_j1(order, order), order)
         assert lhs.equal_up_to(rhs, order) is None
 
     def test_minus_one_minus_one_agrees_for_unit_pair(self):
         order = 20
-        lhs, rhs = lemma_sides(unit_pair(order, order), -1, -1, order)
+        lhs, rhs = lemma_sides(unit_pair(order, order), order)
         assert lhs.equal_up_to(rhs, order) is None
 
-    def test_other_specializations_agree(self):
-        order = 16
-        pair = slater_j1(order, order)
-        for z, y in ((-2, -1), (Fraction(1, 2), -3), (2, 3)):
-            lhs, rhs = lemma_sides(pair, z, y, order)
-            assert lhs.equal_up_to(rhs, order) is None
-
     @pytest.mark.parametrize("make_pair", [slater_j1, unit_pair])
-    @pytest.mark.parametrize("z, y", [(-1, -1), (-2, -1), (Fraction(1, 2), -3), (2, 3)])
-    def test_each_side_matches_the_two_loop_reference(self, make_pair, z, y):
+    def test_each_side_matches_the_two_loop_reference(self, make_pair):
         # agreement of the two sides alone would not catch a weight that
         # both sides share wrongly
         order = 14
         pair = make_pair(order, order)
-        sides = lemma_sides(pair, z, y, order)
-        for side, ref in zip(sides, reference_lemma_sides(pair, z, y, order)):
+        sides = lemma_sides(pair, order)
+        for side, ref in zip(sides, reference_lemma_sides(pair, -1, -1, order)):
             assert side.coeffs == ref.coeffs
-
-    def test_unit_specialization_is_degenerate(self):
-        pair = slater_j1(12, 12)
-        with pytest.raises(DegenerateParameterError):
-            lemma_sides(pair, -1, 1, 12)
-        with pytest.raises(DegenerateParameterError):
-            lemma_sides(pair, 1, -1, 12)
-
-    def test_zero_parameter_rejected(self):
-        with pytest.raises(ValueError):
-            lemma_sides(slater_j1(10, 10), 0, -1, 10)
 
     def test_truncation_shortfall_rejected(self):
         pair = slater_j1(5, 20)
         with pytest.raises(ValueError, match="shortfall"):
-            lemma_sides(pair, -1, -1, 20)
+            lemma_sides(pair, 20)
 
     def test_pair_tabulated_below_the_order_rejected(self):
         with pytest.raises(ValueError, match="shortfall"):
-            lemma_sides(slater_j1(10, 5), -1, -1, 10)
+            lemma_sides(slater_j1(10, 5), 10)
 
 
 rationals = st.builds(Fraction, st.integers(-9, 9), st.sampled_from((1, 2, 3, 4, 12)))
-# nonzero, and not 1: z = 1 or y = 1 is the degenerate specialization
-parameters = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)).filter(
-    lambda c: c not in (0, 1)
-)
 
 
 @st.composite
@@ -214,11 +190,11 @@ def arbitrary_pairs(draw):
 
 class TestNestedSumsOnArbitraryTables:
     @settings(deadline=None, max_examples=30)
-    @given(arbitrary_pairs(), parameters, parameters)
-    def test_lemma_sides_match_the_two_loop_reference(self, drawn, z, y):
+    @given(arbitrary_pairs())
+    def test_lemma_sides_match_the_two_loop_reference(self, drawn):
         pair, order = drawn
-        sides = lemma_sides(pair, z, y, order)
-        for side, ref in zip(sides, reference_lemma_sides(pair, z, y, order)):
+        sides = lemma_sides(pair, order)
+        for side, ref in zip(sides, reference_lemma_sides(pair, -1, -1, order)):
             assert side.coeffs == ref.coeffs
 
     @settings(deadline=None, max_examples=30)
@@ -239,16 +215,15 @@ class TestWindow:
                 assert window.alpha[n] == pair.alpha[n].truncate(order - n)
                 assert window.beta[n] == pair.beta[n].truncate(order - n)
 
-    @pytest.mark.parametrize("z, y", [(-1, -1), (-2, -1), (Fraction(1, 2), -3)])
-    def test_sides_match_those_of_the_full_table(self, z, y):
+    def test_sides_match_those_of_the_full_table(self):
         for order in (0, 1, 2, 17):
             window, pair = slater_j1_window(order), slater_j1(max(order, 1), order)
-            assert lemma_sides(window, z, y, order) == lemma_sides(pair, z, y, order)
+            assert lemma_sides(window, order) == lemma_sides(pair, order)
             assert derivative_identity_sides(window, order) == derivative_identity_sides(pair, order)
 
     def test_a_wider_window_gives_the_same_sides(self):
         wide, exact_fit = slater_j1_window(14), slater_j1_window(10)
-        assert lemma_sides(wide, -1, -1, 10) == lemma_sides(exact_fit, -1, -1, 10)
+        assert lemma_sides(wide, 10) == lemma_sides(exact_fit, 10)
         assert derivative_identity_sides(wide, 10) == derivative_identity_sides(exact_fit, 10)
 
     def test_the_window_is_a_bailey_pair_through_its_last_row(self):
@@ -262,7 +237,7 @@ class TestWindow:
     def test_a_narrower_window_rejected(self):
         window = slater_j1_window(10)
         with pytest.raises(ValueError, match="shortfall"):
-            lemma_sides(window, -1, -1, 11)
+            lemma_sides(window, 11)
         with pytest.raises(ValueError, match="shortfall"):
             derivative_identity_sides(window, 11)
 

@@ -67,7 +67,7 @@ class TestRun:
         [
             lambda: lambert(1, -1),
             lambda: theta.a_lambert(-1),
-            lambda: bailey.lemma_sides(bailey.slater_j1_window(5), -1, -1, -1),
+            lambda: bailey.lemma_sides(bailey.slater_j1_window(5), -1),
             lambda: bailey.derivative_identity_sides(bailey.slater_j1_window(5), -1),
         ],
         ids=["lambert", "a_lambert", "lemma_sides", "derivative_identity_sides"],

@@ -181,6 +181,12 @@ class TestSigma:
         with pytest.raises(TypeError, match="not float"):
             sigma(1, 6.0)
 
+    @pytest.mark.parametrize("k", [1.0, Fraction(1, 2), Fraction(1)])
+    def test_non_int_power_rejected(self, k):
+        # sigma(1.0, 6) was the float 12.0, sigma(Fraction(1, 2), 4) the float 4.414...
+        with pytest.raises(TypeError, match="the divisor power is an int"):
+            sigma(k, 6)
+
 
 class TestRank:
     def test_rank_examples(self):

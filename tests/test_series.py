@@ -22,6 +22,7 @@ from sptlab.series import (
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 coeff_lists = st.lists(rationals, min_size=1, max_size=9)
+factor_cs = st.sampled_from((1, -1, Fraction(1), Fraction(-1)))  # the c of (1 - c*q^e)
 
 
 def geometric(order):
@@ -134,15 +135,21 @@ class TestPoch:
         assert poch(1, 1, 1, 50, 6) == poch(1, 1, 1, None, 6)
 
     def test_rational_argument(self):
-        f = poch(Fraction(1, 2), 1, 1, 1, 3)
-        assert f.coeffs == (1, Fraction(-1, 2), 0, 0)
+        # a factor (1 - c*q^e) takes c = 1 or -1 only; poch(1/2, 1, 1, 1, 3) was 1 - q/2
+        for c in (Fraction(1, 2), 2, 0, Fraction(-1, 3)):
+            with pytest.raises(ValueError, match=f"not c = {c}"):
+                poch(c, 1, 1, 1, 3)
+            with pytest.raises(ValueError, match=f"not c = {c}"):
+                one(2).qmul(c, 3, 1, 1)  # even a factor beyond the order
+            with pytest.raises(ValueError, match=f"not c = {c}"):
+                one(2).qmul(c, 1, 1, None, 0)  # or no factor at all
 
 
 class TestQmul:
     @settings(deadline=None, max_examples=80)
     @given(
         coeff_lists,
-        rationals,
+        factor_cs,
         st.integers(1, 3),
         st.none() | st.integers(0, 5),
         st.integers(-3, 3),
@@ -179,25 +186,19 @@ class TestQmul:
 
     def test_dividing_by_a_factor_at_q0_rejected(self):
         with pytest.raises(ValueError):
-            one(4).qmul(2, 0, 1, 1, -1)
+            one(4).qmul(-1, 0, 1, 1, -1)
         with pytest.raises(ValueError):
-            Series([1, 2, 3]).qmul(Fraction(1, 2), 0, 1, 3, -2)
+            Series([1, 2, 3]).qmul(1, 0, 1, 3, -2)
 
 
 class TestExactInputs:
     def test_floats_are_rejected(self):
-        from sptlab.bailey import lemma_sides, slater_j1
-
         with pytest.raises(TypeError):
             Series([0.1])
         with pytest.raises(TypeError):
             monomial(0.1, 0, 2)
         with pytest.raises(TypeError):
             poch(0.1, 1, 1, 1, 2)
-        with pytest.raises(TypeError):
-            lemma_sides(slater_j1(6, 6), 0.1, -1, 6)
-        with pytest.raises(TypeError):
-            lemma_sides(slater_j1(6, 6), -1, 0.1, 6)
         with pytest.raises(TypeError):
             one(2).qmul(0.5, 3, 1, 1)  # even a factor beyond the order
 

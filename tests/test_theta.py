@@ -1,5 +1,7 @@
 """Cubic theta function routes and quaternary-form counting."""
 
+from fractions import Fraction
+
 import pytest
 
 from sptlab.partitions import p3, p_count, spt23
@@ -127,6 +129,12 @@ class TestClosedForm:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             R_closed(0)
+
+    @pytest.mark.parametrize("n", [Fraction(5, 2), Fraction(3), 3.0])
+    def test_rejects_a_non_int(self, n):
+        # R_closed(Fraction(5, 2)) was 0, read as "no divisors"
+        with pytest.raises(TypeError, match="the closed form takes an int n"):
+            R_closed(n)
 
 
 class TestConvolutions:
