@@ -2,7 +2,8 @@
 
 A series stores int numerators over one shared denominator and hands its
 coefficients out as fractions.Fraction values, so results are identities
-through the truncation order, not approximations.
+through the truncation order, not approximations.  A series is built from
+ints; a rational enters it by scalar multiplication with a Fraction.
 """
 
 from fractions import Fraction
@@ -34,7 +35,7 @@ print("same as euler.invert():", by_binomials == inv)
 
 print()
 print("== rational coefficients stay exact ==")
-f = Series([1, Fraction(1, 2), Fraction(-3, 4)], order=6)
+f = Series([4, 2, -3], order=6) * Fraction(1, 4)  # 1 + q/2 - 3q^2/4
 print("f            =", f)
 print("f^2          =", f * f)
 print("f * f.invert() =", f * f.invert())
@@ -43,5 +44,5 @@ print()
 print("== substitution q -> q^3 and reduction mod 3 ==")
 sub = inv.substitute_power(3)
 print("p-series at q^3:", sub)
-half = Series([1, Fraction(1, 2)])
+half = Series([2, 1]) * Fraction(1, 2)  # 1 + q/2
 print("residues mod 3 of 1 + q/2:", tuple(residue(c, 3, k) for k, c in enumerate(half.coeffs)))

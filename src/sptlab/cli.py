@@ -22,24 +22,25 @@ from . import identities
 
 
 def _resolve_order(flag_value: int | None) -> int | None:
-    if flag_value is not None:
-        return flag_value
     env = os.environ.get(identities.ORDER_ENV_VAR)
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise SystemExit(
-                f"{identities.ORDER_ENV_VAR} must be an integer, got {env!r}"
-            )
-    return None
+    if flag_value is not None or not env:
+        return flag_value
+    try:
+        return int(env)
+    except ValueError:
+        raise SystemExit(f"{identities.ORDER_ENV_VAR} must be an integer, got {env!r}")
 
 
-def _emit(text: str, output: str | None) -> None:
+def _check_output(output: str | None) -> None:
+    """Fail before any work if ``output`` cannot be written; leave no file behind."""
     if output:
-        Path(output).write_text(text)
-    else:
-        sys.stdout.write(text)
+        fresh = not os.path.lexists(output)
+        try:
+            open(output, "a").close()
+        except OSError as exc:
+            raise SystemExit(f"cannot write {output}: {exc.strerror}")
+        if fresh:
+            os.remove(output)
 
 
 def _format_text(results, order, oracle_bound) -> str:
@@ -96,44 +97,38 @@ def main(argv=None) -> int:
     c.add_argument("n", type=int)
 
     args = parser.parse_args(argv)
-
-    if args.command == "verify":
-        order = _resolve_order(args.order)
-        try:
+    order = _resolve_order(args.order) if args.command == "verify" else None
+    output = getattr(args, "output", None)
+    _check_output(output)
+    try:
+        if args.command == "verify":
             if args.id:
                 results = [identities.run(args.id, order, args.oracle_bound)]
             else:
                 results = identities.run_all(order, args.oracle_bound)
-        except ValueError as exc:
-            raise SystemExit(str(exc))
+        elif args.command == "seq":
+            text = identities.export_sequence(args.name, args.upto, args.format)
+        else:
+            values = dict(identities.sequence_values(args.expr_id, args.n))
+    except ValueError as exc:
+        raise SystemExit(str(exc))
+
+    if args.command == "verify":
         if args.format == "json":
             text = json.dumps(
                 identities.report(results, order, args.oracle_bound), indent=2
             ) + "\n"
         else:
             text = _format_text(results, order, args.oracle_bound)
-        _emit(text, args.output)
-        return 0 if identities.all_passed(results) else 1
-
-    if args.command == "seq":
-        try:
-            text = identities.export_sequence(args.name, args.upto, args.format)
-        except ValueError as exc:
-            raise SystemExit(str(exc))
-        _emit(text, args.output)
-        return 0
-
-    if args.command == "coeff":
-        try:
-            values = dict(identities.sequence_values(args.expr_id, args.n))
-        except ValueError as exc:
-            raise SystemExit(str(exc))
+    elif args.command == "coeff":
         if args.n not in values:
             raise SystemExit(f"{args.expr_id} has no index {args.n}")
-        sys.stdout.write(f"{values[args.n]}\n")
-        return 0
-
-    return 2  # pragma: no cover
+        text = f"{values[args.n]}\n"
+    if output:
+        Path(output).write_text(text)
+    else:
+        sys.stdout.write(text)
+    return 1 if args.command == "verify" and not identities.all_passed(results) else 0
 
 
 if __name__ == "__main__":

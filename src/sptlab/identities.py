@@ -244,18 +244,17 @@ def _chk_i12(order, bound):
 
 
 def _chk_i13(order, bound):
-    sigma1 = [partitions.sigma(1, n) for n in range(order + 1)]
-    for n in range(1, order + 1):
-        yield n, n * partitions.p_count(n), sum(partitions.p_count(k) * sigma1[n - k] for k in range(n))
+    # sum_k p(k) sigma(n-k) is the coefficient of q^n in sum sigma(n) q^n / (q;q)_inf
+    rhs = Series([partitions.sigma(1, n) for n in range(order + 1)]).qmul(1, 1, 1, None, -1)
+    return ((n, n * partitions.p_count(n), rhs[n]) for n in range(1, order + 1))
 
 
 def _chk_i14(order, bound):
     s23 = partitions.spt23_series(order)
     n2 = partitions.second_rank_moment_series(order)
-    sigma1 = [partitions.sigma(1, 3 * j) for j in range(order // 3 + 1)]
-    for m in range(1, order // 3 + 1):
-        total = sum(partitions.p_count(k) * sigma1[m - k] for k in range(m + 1))
-        yield 3 * m, s23[3 * m], total - Fraction(n2[m], 2)
+    # sum_k p(k) sigma(3(m-k)) is the coefficient of q^m in sum sigma(3j) q^j / (q;q)_inf
+    total = Series([partitions.sigma(1, 3 * j) for j in range(order // 3 + 1)]).qmul(1, 1, 1, None, -1)
+    return ((3 * m, s23[3 * m], total[m] - Fraction(n2[m], 2)) for m in range(1, order // 3 + 1))
 
 
 def _chk_i15(order, bound):
@@ -281,13 +280,13 @@ def _chk_i17(order, bound):
 
 def _chk_i18(order, bound):
     lhs = _difference_series(order)
-    bracket = (
-        monomial(Fraction(27, 4), 2, order).qmul(1, 9, 9, None, 6)
-        + monomial(Fraction(3, 2), 1, order).qmul(1, 1, 1, None, 3).qmul(1, 9, 9, None, 3)
-        + one(order).qmul(1, 1, 1, None, 6) * Fraction(1, 12)
-    ).qmul(1, 3, 3, None, -2) - Fraction(1, 12)
+    bracket = (  # 12 times the bracket of the eta-quotient expansion
+        monomial(81, 2, order).qmul(1, 9, 9, None, 6)
+        + monomial(18, 1, order).qmul(1, 1, 1, None, 3).qmul(1, 9, 9, None, 3)
+        + one(order).qmul(1, 1, 1, None, 6)
+    ).qmul(1, 3, 3, None, -2) - 1
     n2q3 = partitions.second_rank_moment_series(order).substitute_power(3)
-    rhs = bracket.qmul(1, 3, 3, None, -1) + n2q3
+    rhs = bracket.qmul(1, 3, 3, None, -1) * Fraction(1, 12) + n2q3
     return _coeffs(lhs, rhs, order)
 
 

@@ -5,8 +5,10 @@ over one shared positive int denominator, kept in canonical form: the gcd of
 the denominator and all numerators is 1.  Every operation works on the ints
 alone, so every result is exact through the truncation order; ``coeffs``,
 ``coeff`` and ``[]`` hand the coefficients out as reduced `fractions.Fraction`
-values.  All generating-function work in the package (partition statistics,
-theta functions, Bailey pairs, the identity suite) reduces to arithmetic here.
+values.  ``Series(...)``, ``monomial`` and scalar ``+`` and ``-`` take ints
+only; a rational enters a series one way, by scalar ``*`` with a Fraction.
+All generating-function work in the package (partition statistics, theta
+functions, Bailey pairs, the identity suite) reduces to arithmetic here.
 
 Values are immutable; every operation is a pure function returning a new
 Series.  When two operands carry different orders, the result is truncated
@@ -52,8 +54,8 @@ class Series:
 
     __slots__ = ("_num", "_den")
 
-    def __init__(self, coeffs: Iterable[Rational], order: int | None = None):
-        cs = [c if isinstance(c, (int, Fraction)) else exact(c) for c in coeffs]
+    def __init__(self, coeffs: Iterable[int], order: int | None = None):
+        cs = list(map(_int, coeffs))
         if order is not None:
             if order < 0:
                 raise ValueError("order must be non-negative")
@@ -61,10 +63,8 @@ class Series:
             cs.extend([0] * (order + 1 - len(cs)))
         if not cs:
             raise ValueError("a series carries at least the q^0 coefficient")
-        # the lcm of reduced denominators is already canonical
-        den = lcm(*[c.denominator for c in cs])
-        self._num = tuple(c.numerator * (den // c.denominator) for c in cs)
-        self._den = den
+        self._num = tuple(cs)
+        self._den = 1
 
     @property
     def order(self) -> int:
@@ -101,13 +101,10 @@ class Series:
             den = lcm(self._den, other._den)
             sa, sb = den // self._den, den // other._den
             return _canonical(list(map(add, map(sa.__mul__, a), map(sb.__mul__, b))), den)
-        if isinstance(other, (int, Fraction)):
-            p, q = other.numerator, other.denominator
-            den = lcm(self._den, q)
-            scale = den // self._den
-            nums = list(self._num) if scale == 1 else [x * scale for x in self._num]
-            nums[0] += p * (den // q)
-            return _canonical(nums, den)
+        if isinstance(other, int):
+            nums = list(self._num)
+            nums[0] += other * self._den  # leaves the gcd with the denominator at 1
+            return _series(nums, self._den)
         return NotImplemented
 
     __radd__ = __add__
@@ -116,12 +113,10 @@ class Series:
         return _series([-x for x in self._num], self._den)
 
     def __sub__(self, other) -> Series:
-        if isinstance(other, (Series, int, Fraction)):
-            return self + (-other if isinstance(other, Series) else -Fraction(other))
-        return NotImplemented
+        return self + -other if isinstance(other, (Series, int)) else NotImplemented
 
     def __rsub__(self, other) -> Series:
-        return (-self) + other
+        return -self + other if isinstance(other, int) else NotImplemented
 
     def __mul__(self, other) -> Series:
         if isinstance(other, Series):
@@ -337,9 +332,11 @@ def _ratio(c: Rational) -> tuple[int, int]:
     return int(c.numerator), int(c.denominator)
 
 
-def exact(c: Rational) -> Fraction:
-    """c as a Fraction; anything but an int or a Fraction (a float, say) is a TypeError."""
-    return Fraction(*_ratio(c))
+def _int(c: int) -> int:
+    """c itself when it is an int; anything else, a Fraction too, is a TypeError."""
+    if not isinstance(c, int):
+        raise TypeError(f"series coefficients are ints, not {type(c).__name__}; scale by a Fraction instead")
+    return c
 
 
 def residue(c: Rational, p: int, index: int) -> int:
@@ -360,14 +357,13 @@ def integral(c: Rational, index: int) -> Rational:
     return c
 
 
-def monomial(c: Rational, k: int, order: int) -> Series:
-    """The series c*q^k at the given truncation order."""
+def monomial(c: int, k: int, order: int) -> Series:
+    """The series c*q^k at the given truncation order, for an int c."""
     if not 0 <= k <= order:
         raise ValueError(f"exponent {k} out of range for order {order}")
-    a, b = _ratio(c)
     nums = [0] * (order + 1)
-    nums[k] = a
-    return _series(nums, b if a else 1)
+    nums[k] = _int(c)
+    return _series(nums, 1)
 
 
 def one(order: int) -> Series:

@@ -2,12 +2,26 @@
 
 Each helper recomputes a quantity by the most direct method available so
 that package results can be checked against an implementation that shares
-no code path with them.
+no code path with them.  ``rational_series`` is the one helper that builds
+a package Series: the test-side way to put rational coefficients into one.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
+from math import lcm
+
+from sptlab.series import Series
+
+
+def rational_series(coeffs, order: int | None = None) -> Series:
+    """The Series with these int or Fraction coefficients, built the one way
+    a rational enters a Series: int numerators over the lcm of the
+    denominators, times Fraction(1, lcm)."""
+    cs = [Fraction(c) for c in coeffs]
+    den = lcm(*[c.denominator for c in cs])
+    return Series([int(c * den) for c in cs], order) * Fraction(1, den)
 
 
 def dp_partition_count(n: int) -> int:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import rational_series
 from sptlab.bailey import (
     BaileyPair,
     derivative_identity_sides,
@@ -181,7 +182,7 @@ def arbitrary_pairs(draw):
         cs = draw(st.lists(rationals, min_size=1, max_size=order + 1))
         if nonzero and not any(cs):
             cs[0] = Fraction(1)
-        return Series(cs, order)
+        return rational_series(cs, order)
 
     alpha = tuple(row(n % 3) for n in range(order + 1))
     beta = tuple(row(False) for _ in range(order + 1))

@@ -7,7 +7,9 @@ package applies the same products in place (``Series.qmul``) and steps
 beta_n and the I1 tail from their predecessors; both routes must agree
 coefficient by coefficient.  A full Euler product comes from the
 pentagonal route of ``qmul`` on both routes, so its own reference is the
-binomial loop in ``test_series.py``.
+binomial loop in ``test_series.py``.  I13 and I14 divide a divisor-sum
+series by (q;q)_inf; their references are the per-n convolution sums
+sum_k p(k) sigma(n - k), which share no division with ``qmul``.
 """
 
 from fractions import Fraction
@@ -115,6 +117,21 @@ def ref_i1_lhs(order):
     return lhs
 
 
+def ref_i13_cases(order, bound):
+    sigma1 = [partitions.sigma(1, n) for n in range(order + 1)]
+    for n in range(1, order + 1):
+        yield n, n * partitions.p_count(n), sum(partitions.p_count(k) * sigma1[n - k] for k in range(n))
+
+
+def ref_i14_cases(order, bound):
+    s23 = partitions.spt23_series(order)
+    n2 = partitions.second_rank_moment_series(order)
+    sigma1 = [partitions.sigma(1, 3 * j) for j in range(order // 3 + 1)]
+    for m in range(1, order // 3 + 1):
+        total = sum(partitions.p_count(k) * sigma1[m - k] for k in range(m + 1))
+        yield 3 * m, s23[3 * m], total - Fraction(n2[m], 2)
+
+
 @pytest.mark.parametrize("order", ORDERS)
 @pytest.mark.parametrize(
     "builder, reference",
@@ -164,3 +181,13 @@ def test_derivative_identity_sides_match_their_dense_reference(order):
 def test_i1_left_side_matches_its_dense_reference(order):
     left = [lhs for _, lhs, _ in identities._chk_i1(order, 0)]
     assert left == list(ref_i1_lhs(order).coeffs)
+
+
+@pytest.mark.parametrize(
+    "check, reference",
+    [(identities._chk_i13, ref_i13_cases), (identities._chk_i14, ref_i14_cases)],
+    ids=("I13", "I14"),
+)
+def test_convolution_checks_match_their_per_n_sums(check, reference):
+    for order in range(200, 9, -1):  # downward, so the builders serve each order from one build
+        assert list(check(order, 0)) == list(reference(order, 0))

@@ -10,8 +10,9 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import rational_series
 from sptlab import bailey, cli, identities, partitions, theta
-from sptlab.series import Series, lambert
+from sptlab.series import lambert
 
 ORDER = 24
 BOUND = 14
@@ -175,7 +176,7 @@ def doctored(builder, index, change):
     def build(order):
         coeffs = list(builder(order).coeffs)
         coeffs[index] = change(coeffs[index])
-        return Series(coeffs)
+        return rational_series(coeffs)
     return build
 
 
@@ -410,3 +411,40 @@ class TestCli:
         assert proc.returncode == 0
         rep = json.loads(target.read_text())
         assert len(rep["results"]) == 22
+
+    def test_unwritable_output_fails_with_a_message(self, tmp_path):
+        missing = tmp_path / "missing" / "out"
+        runs = [
+            (("verify", "--order", "12", "--oracle-bound", "12"), missing, "No such file or directory"),
+            (("seq", "p", "--upto", "9"), missing, "No such file or directory"),
+            (("seq", "p", "--upto", "9"), tmp_path, "Is a directory"),
+        ]
+        for args, target, reason in runs:
+            proc = run_cli(*args, "--output", str(target))
+            assert proc.returncode == 1, args
+            assert "Traceback" not in proc.stderr, args
+            assert proc.stderr.strip() == f"cannot write {target}: {reason}", args
+            assert proc.stdout == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_refused_input_leaves_no_output_file(self, tmp_path):
+        fresh, kept = tmp_path / "fresh.csv", tmp_path / "kept.csv"
+        kept.write_text("old\n")
+        for target in (fresh, kept):
+            proc = run_cli("seq", "p", "--upto", "2001", "--output", str(target))
+            assert proc.returncode == 1
+            assert proc.stderr.strip() == "upto must be at most 2000"
+        assert not fresh.exists()
+        assert kept.read_text() == "old\n"
+
+    def test_unwritable_output_is_refused_before_any_check_runs(self, tmp_path, monkeypatch):
+        def reached(*args):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(identities, "run_all", reached)
+        monkeypatch.setattr(identities, "export_sequence", reached)
+        target = tmp_path / "missing" / "out"
+        for argv in (["verify"], ["seq", "p", "--upto", "9"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main([*argv, "--output", str(target)])
+            assert exc.value.code == f"cannot write {target}: No such file or directory"

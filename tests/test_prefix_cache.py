@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import rational_series
 from sptlab import identities, partitions, theta
 from sptlab.series import Series, prefix_cache
 
@@ -69,7 +70,7 @@ class TestToyBuilder:
     @given(st.lists(rationals, min_size=1, max_size=16), st.data())
     def test_truncation_keeps_the_canonical_form(self, coeffs, data):
         def build(order):
-            return Series(coeffs[: order + 1])
+            return rational_series(coeffs[: order + 1])
 
         memo = prefix_cache(build)
         big = data.draw(st.integers(0, len(coeffs) - 1), label="big")
@@ -78,10 +79,10 @@ class TestToyBuilder:
         warm = memo(small)
         cold = build(small)
         assert warm == cold and hash(warm) == hash(cold)
-        assert warm == Series(warm.coeffs)
+        assert warm == rational_series(warm.coeffs)
 
     def test_a_denominator_cancelled_by_truncation_is_gone(self):
-        memo = prefix_cache(lambda order: Series([1, 2, Fraction(1, 3)][: order + 1]))
+        memo = prefix_cache(lambda order: rational_series([1, 2, Fraction(1, 3)][: order + 1]))
         memo(2)
         assert memo(1) == Series([1, 2])
         assert [(c.numerator, c.denominator) for c in memo(1).coeffs] == [(1, 1), (2, 1)]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_pair_count, brute_sigma, dp_partition_count, signed_distinct_part_count
+from conftest import brute_pair_count, brute_sigma, dp_partition_count, rational_series, signed_distinct_part_count
 from sptlab.series import (
     NonIntegralError,
     NonUnitError,
@@ -43,7 +43,7 @@ class TestConstruction:
         assert s.coeffs == (1, 0, 0, 0, 0, 0)
 
     def test_monomial_fraction(self):
-        s = monomial(Fraction(-1, 2), 3, 5)
+        s = monomial(-1, 3, 5) * Fraction(1, 2)
         assert s[3] == Fraction(-1, 2)
         assert sum(c != 0 for c in s.coeffs) == 1
 
@@ -158,7 +158,7 @@ class TestQmul:
     def test_matches_the_dense_route(self, cs, c, step, count, power, data):
         # an infinite product and a division both need the factors to start at q^1
         start = data.draw(st.integers(1 if power < 0 or count is None else 0, 4))
-        s = Series(cs)
+        s = rational_series(cs)
         factor = poch(c, start, step, count, s.order)
         if power < 0:
             factor = factor.invert()
@@ -180,7 +180,7 @@ class TestQmul:
     @example(order=300, k=1, power=6, den=2, rnd=random.Random(3))
     def test_full_euler_product_matches_the_binomial_route(self, order, k, power, den, rnd):
         # the constant term 1/den keeps the shared denominator at den
-        s = Series([Fraction(1, den)] + [Fraction(rnd.randint(-30, 30), den) for _ in range(order)])
+        s = rational_series([Fraction(1, den)] + [Fraction(rnd.randint(-30, 30), den) for _ in range(order)])
         got, ref = s.qmul(1, k, k, None, power), euler_by_binomials(s, k, power)
         assert (got._num, got._den) == (ref._num, ref._den)
 
@@ -202,6 +202,29 @@ class TestExactInputs:
         with pytest.raises(TypeError):
             one(2).qmul(0.5, 3, 1, 1)  # even a factor beyond the order
 
+    def test_rationals_enter_by_scalar_multiplication_only(self):
+        for build in (
+            lambda: Series([Fraction(1, 2)]),
+            lambda: Series([1, Fraction(1)]),  # an integral Fraction too
+            lambda: Series([Fraction(1)], order=0),
+            lambda: monomial(Fraction(1, 2), 1, 3),
+            lambda: monomial(Fraction(2), 1, 3),
+        ):
+            with pytest.raises(TypeError, match="not Fraction"):
+                build()
+        s = one(3)
+        for op in (
+            lambda: s + Fraction(1, 2),
+            lambda: Fraction(1, 2) + s,
+            lambda: s - Fraction(1, 2),
+            lambda: Fraction(1, 2) - s,
+            lambda: s + Fraction(1),
+        ):
+            with pytest.raises(TypeError):
+                op()
+        assert (s * Fraction(1, 2))[0] == Fraction(1, 2)
+        assert (Fraction(1, 2) * s)[0] == Fraction(1, 2)
+
 
 class TestSubstitutePower:
     def test_basic(self):
@@ -218,18 +241,18 @@ class TestSubstitutePower:
 
     @given(coeff_lists, st.integers(1, 4), st.integers(1, 4))
     def test_composition(self, cs, a, b):
-        f = Series(cs)
+        f = rational_series(cs)
         assert f.substitute_power(a).substitute_power(b) == f.substitute_power(a * b)
 
 
 class TestShift:
     @given(coeff_lists, st.integers(0, 5))
     def test_prepends_k_zero_coefficients(self, cs, k):
-        f = Series(cs)
+        f = rational_series(cs)
         g = f.shift(k)
         assert g.order == f.order + k
         assert g.coeffs[:k] == (0,) * k
-        assert g == Series((0,) * k + f.coeffs)
+        assert g == rational_series((0,) * k + f.coeffs)
 
     def test_is_the_monomial_product(self):
         f = geometric(6)
@@ -280,7 +303,7 @@ class TestReduceMod:
         assert err.value.requirement == "4-integral"
 
     def test_series_residues(self):
-        f = Series([5, Fraction(2, 5), -1])
+        f = rational_series([5, Fraction(2, 5), -1])
         assert [residue(c, 3, k) for k, c in enumerate(f.coeffs)] == [2, 1, 2]
 
 
@@ -304,7 +327,7 @@ class TestProperties:
     @settings(deadline=None, max_examples=60)
     @given(coeff_lists, coeff_lists, st.data())
     def test_product_prefix_stability(self, fs, gs, data):
-        f, g = Series(fs), Series(gs)
+        f, g = rational_series(fs), rational_series(gs)
         full = f * g
         k = data.draw(st.integers(0, full.order))
         m = data.draw(st.integers(k, full.order))
@@ -314,7 +337,7 @@ class TestProperties:
     @settings(deadline=None, max_examples=60)
     @given(coeff_lists.filter(lambda cs: cs[0] != 0))
     def test_invert_is_two_sided(self, cs):
-        f = Series(cs)
+        f = rational_series(cs)
         inv = f.invert()
         assert (f * inv).equal_up_to(one(f.order), f.order) is None
         assert (inv * f).equal_up_to(one(f.order), f.order) is None
@@ -322,7 +345,7 @@ class TestProperties:
     @settings(deadline=None, max_examples=60)
     @given(coeff_lists, coeff_lists)
     def test_ring_commutativity(self, fs, gs):
-        f, g = Series(fs), Series(gs)
+        f, g = rational_series(fs), rational_series(gs)
         assert f * g == g * f
         assert f + g == g + f
 
