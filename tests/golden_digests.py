@@ -15,6 +15,9 @@ records ``golden_digests.json`` beside this file:
     exports
         one digest over ``export_sequence(name, upto, fmt)`` for every sequence
         name, every upto in 0..150 and both formats
+    demo-01_exact_series .. demo-04_bailey_pairs
+        the stdout bytes of each demo, run as a script; demo 05 prints
+        timings and is left out
 
 Only ``config`` and ``results`` are hashed, so a new top-level report key
 leaves the digests alone.  The writer refuses to record when a check fails,
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -36,6 +40,8 @@ from conftest import dp_partition_count
 from sptlab import identities, theta
 
 DIGESTS = Path(__file__).resolve().parent / "golden_digests.json"
+DEMO_DIR = Path(__file__).resolve().parents[1] / "demos"
+DEMOS = ("01_exact_series", "02_partition_statistics", "03_cubic_theta", "04_bailey_pairs")
 RUNS = ((60, 40), (240, 40))
 LONG_RUNS = ((1000, 40), (2000, 40))
 ID_ORDER, ID_BOUND = 24, 14
@@ -73,6 +79,13 @@ def exports() -> dict[tuple[str, int, str], str]:
         for upto in UPTOS
         for fmt in FORMATS
     }
+
+
+def demo_digest(name: str) -> str:
+    """SHA-256 of the stdout of ``demos/<name>.py``; a demo that fails raises."""
+    script = DEMO_DIR / f"{name}.py"
+    out = subprocess.run([sys.executable, str(script)], capture_output=True, check=True).stdout
+    return hashlib.sha256(out).hexdigest()
 
 
 def digest(report: dict) -> str:
@@ -129,7 +142,8 @@ def main() -> int:
     if problems:
         print("not recording:", *problems, sep="\n  ", file=sys.stderr)
         return 1
-    DIGESTS.write_text(json.dumps(digests(got_reports, got_exports), indent=1) + "\n")
+    demos = {f"demo-{name}": demo_digest(name) for name in DEMOS}
+    DIGESTS.write_text(json.dumps(digests(got_reports, got_exports) | demos, indent=1) + "\n")
     return 0
 
 

@@ -5,10 +5,11 @@
 exit code) and the SHA-256 of every CSV export the ``seq-mix`` workload can
 ask for.  ``golden_digests.json`` beside this file holds the SHA-256 of the
 reports at (60, 40) and (240, 40), of the 22 ``--id`` runs at (24, 14) and
-of every CSV and JSON export for upto 0..150 (and of the reports at
-(1000, 40) and (2000, 40), which CI compares).  These tests rebuild each of
-the rest in process and compare, so a changed coefficient, erratum diagnostic or
-CSV row fails here.  The golden files are read, never written;
+of every CSV and JSON export for upto 0..150, of the stdout of demos
+01-04 (and of the reports at (1000, 40) and (2000, 40), which CI compares).
+These tests rebuild each of the rest, in process or by running the demo, and
+compare, so a changed coefficient, erratum diagnostic, CSV row or demo line
+fails here.  The golden files are read, never written;
 ``perfbench/make_golden.py`` and ``golden_digests.py`` record them.
 """
 
@@ -46,3 +47,9 @@ def test_reports_and_exports_match_their_committed_digests():
     recorded = json.loads(golden_digests.DIGESTS.read_text())
     got = golden_digests.digests(golden_digests.reports(), golden_digests.exports())
     assert got == {key: recorded[key] for key in got}
+
+
+@pytest.mark.parametrize("name", golden_digests.DEMOS)
+def test_demo_prints_its_recorded_bytes(name):
+    recorded = json.loads(golden_digests.DIGESTS.read_text())
+    assert golden_digests.demo_digest(name) == recorded[f"demo-{name}"]
