@@ -125,7 +125,10 @@ def main(argv=None) -> int:
             raise SystemExit(f"{args.expr_id} has no index {args.n}")
         text = f"{values[args.n]}\n"
     if output:
-        Path(output).write_text(text)
+        try:
+            Path(output).write_text(text)
+        except OSError as exc:  # a full disk passes the up-front check
+            raise SystemExit(f"cannot write {output}: {exc.strerror}")
     else:
         sys.stdout.write(text)
     return 1 if args.command == "verify" and not identities.all_passed(results) else 0

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from functools import partial
 from itertools import chain
@@ -52,22 +52,13 @@ class IdentityResult:
     id: str
     status: str  # pass | fail | error
     order_checked: int
-    first_mismatch: list | None
     runtime_ms: float
+    first_mismatch: list | None
     diagnostic: dict | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "id": self.id,
-            "status": self.status,
-            "order_checked": self.order_checked,
-            "runtime_ms": self.runtime_ms,
-        }
-        if self.first_mismatch is not None:
-            out["first_mismatch"] = self.first_mismatch
-        if self.diagnostic is not None:
-            out["diagnostic"] = self.diagnostic
-        return out
+        """The report entry: the fields in order, less those that are None."""
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 def _fmt(x) -> str:
@@ -163,9 +154,7 @@ def _chk_i7(order, bound):
 
 def _chk_i8(order, bound):
     lhs = (lambert(1, order) - lambert(3, order) * 3) * 12
-    a = theta.a_lattice(order)
-    rhs = a * a - 1
-    return _coeffs(lhs, rhs, order)
+    return _coeffs(lhs, Series(theta.lattice_table(order).R) - 1, order)
 
 
 def _difference_series(order: int) -> Series:
@@ -245,7 +234,7 @@ def _chk_i12(order, bound):
 
 def _chk_i13(order, bound):
     # sum_k p(k) sigma(n-k) is the coefficient of q^n in sum sigma(n) q^n / (q;q)_inf
-    rhs = Series([partitions.sigma(1, n) for n in range(order + 1)]).qmul(1, 1, 1, None, -1)
+    rhs = lambert(1, order).qmul(1, 1, 1, None, -1)
     return ((n, n * partitions.p_count(n), rhs[n]) for n in range(1, order + 1))
 
 
@@ -399,7 +388,7 @@ def run(check_id: str, order: int | None = None, oracle_bound: int | None = None
         status = "error"
         diagnostic = {"error": repr(exc)}
     runtime_ms = round((time.perf_counter() - t0) * 1000, 3)
-    return IdentityResult(check_id, status, n, mismatch, runtime_ms, diagnostic)
+    return IdentityResult(check_id, status, n, runtime_ms, mismatch, diagnostic)
 
 
 def run_all(order: int | None = None, oracle_bound: int | None = None) -> list[IdentityResult]:

@@ -203,15 +203,15 @@ def spt23_series(order: int) -> Series:
 
 @prefix_cache
 def xi_series(order: int) -> Series:
-    """(a(q)^2 - 1) / 12 expanded over (q^3;q^3)_inf.
+    """(a(q)^2 - 1) / 12 expanded over (q^3;q^3)_inf, with a(q)^2 = sum R(k) q^k
+    read from the lattice table.
 
     Divisibility by 12 is checked, not assumed: a non-integer coefficient
     raises NonIntegralError and surfaces as a failure in the harness.
     """
-    from .theta import a_lattice  # the lone upward edge; imported lazily
+    from .theta import lattice_table  # the lone upward edge; imported lazily
 
-    a = a_lattice(order)
-    series = (a * a - 1).qmul(1, 3, 3, None, -1) * Fraction(1, 12)
+    series = (Series(lattice_table(order).R) - 1).qmul(1, 3, 3, None, -1) * Fraction(1, 12)
     for k, c in enumerate(series.coeffs):
         integral(c, k)
     return series

@@ -2,9 +2,9 @@
 
 a(q) = sum over (n, m) in Z^2 of q^(n^2 + nm + m^2) is computed by three
 independent routes (lattice enumeration, a Lambert series, an eta quotient)
-so each can certify the others.  R(k) counts representations by the
-doubled form x^2+xy+y^2+u^2+uv+v^2 and feeds the convolutions with the
-parts-divisible-by-3 partition numbers.
+so each can certify the others.  R(k) = [q^k] a(q)^2, squared once by the
+series product, counts representations by x^2+xy+y^2+u^2+uv+v^2 and feeds
+the xi series and the convolutions with the partitions into multiples of 3.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ class LatticeCountTable:
 
 @prefix_cache
 def lattice_table(bound: int) -> LatticeCountTable:
-    """Enumerate n^2+nm+m^2 <= bound and convolve for the quaternary counts.
+    """Enumerate n^2+nm+m^2 <= bound for r2, and square a(q) = sum r2(k) q^k for R.
 
     The form satisfies n^2+nm+m^2 = (n + m/2)^2 + 3m^2/4 >= 3*max(n^2,m^2)/4,
     so |n|, |m| <= ceil(sqrt(4*bound/3)) exhausts the lattice.
@@ -48,14 +48,8 @@ def lattice_table(bound: int) -> LatticeCountTable:
             k = n * n + n * m + m * m
             if k <= bound:
                 r2[k] += 1
-    R = [0] * (bound + 1)
-    for i, ri in enumerate(r2):
-        if ri:
-            for j in range(bound + 1 - i):
-                rj = r2[j]
-                if rj:
-                    R[i + j] += ri * rj
-    return LatticeCountTable(bound, tuple(r2), tuple(R))
+    a = Series(r2)
+    return LatticeCountTable(bound, tuple(r2), tuple(map(int, (a * a).coeffs)))
 
 
 def a_lattice(order: int) -> Series:
@@ -85,7 +79,7 @@ def a_eta(order: int) -> Series:
 
 
 def R_lattice(k: int) -> int:
-    """Quaternary representation count of k, from the r2 self-convolution."""
+    """Quaternary representation count of k, read from the lattice table's R."""
     if k < 0:
         raise ValueError("R(k) needs k >= 0")
     return lattice_table(k).R[k]

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -180,19 +181,53 @@ def doctored(builder, index, change):
     return build
 
 
+def doctored_R(index, change):
+    """``theta.lattice_table`` with R(index) replaced by change(old)."""
+    build = theta.lattice_table
+
+    def table(bound):
+        t = build(bound)
+        R = list(t.R)
+        R[index] = change(R[index])
+        return replace(t, R=tuple(R))
+    return table
+
+
 class TestFailureLabels:
     """A defect injected into one builder is reported at its own index, with
     the offending value and a label that names what the value lacks."""
 
     def test_non_integral_xi_is_not_labelled_3_integral(self, monkeypatch):
-        # a(q) = 1 + 7q + ... makes xi(1) = 14/12 = 7/6
-        monkeypatch.setattr(theta, "a_lattice", doctored(theta.a_lattice, 1, lambda c: c + 1))
+        # a(q)^2 = 1 + 14q + ... makes xi(1) = 14/12 = 7/6
+        monkeypatch.setattr(theta, "lattice_table", doctored_R(1, lambda r: 14))
         partitions.xi_series.cache_clear()
         try:
             for check_id in ("I9", "I11"):  # xi built before the cases / while yielding them
                 r = identities.run(check_id, 12, 12)
                 assert r.status == "fail"
                 assert r.first_mismatch == [1, "7/6", "integral"]
+        finally:
+            partitions.xi_series.cache_clear()
+
+    def test_one_square_of_a_reaches_every_check_that_reads_R(self, monkeypatch):
+        # I8 and I10 read the table's R, and I9 and I11 read it through xi;
+        # I7 and I17 read a(q) itself, which neither I8 nor xi reads
+        partitions.xi_series.cache_clear()
+        try:
+            monkeypatch.setattr(theta, "lattice_table", doctored_R(1, lambda r: r + 1))
+            for check_id in ("I8", "I9", "I10", "I11"):
+                r = identities.run(check_id, 12, 12)
+                assert r.status == "fail", check_id
+                assert r.first_mismatch[0] <= 1, check_id
+            monkeypatch.undo()
+            partitions.xi_series.cache_clear()
+            monkeypatch.setattr(theta, "a_lattice", doctored(theta.a_lattice, 1, lambda c: c + 1))
+            for check_id in ("I7", "I17"):
+                r = identities.run(check_id, 12, 12)
+                assert r.status == "fail", check_id
+                assert r.first_mismatch[0] == 1, check_id
+            for check_id in ("I8", "I9"):
+                assert identities.run(check_id, 12, 12).status == "pass", check_id
         finally:
             partitions.xi_series.cache_clear()
 
@@ -426,6 +461,15 @@ class TestCli:
             assert proc.stderr.strip() == f"cannot write {target}: {reason}", args
             assert proc.stdout == ""
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    def test_a_write_that_fails_after_the_check_ends_in_a_message(self):
+        # /dev/full opens for append, so only the write itself fails
+        proc = run_cli("seq", "p", "--upto", "5", "--output", "/dev/full")
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.strip() == "cannot write /dev/full: No space left on device"
+        assert proc.stdout == ""
 
     def test_refused_input_leaves_no_output_file(self, tmp_path):
         fresh, kept = tmp_path / "fresh.csv", tmp_path / "kept.csv"

@@ -30,8 +30,8 @@ MEMOIZED = (
 
 
 def clear_all():
-    # one builder reads another (xi_series reads lattice_table through
-    # a_lattice), so a cold build needs every memo empty
+    # one builder reads another (xi_series reads lattice_table's R), so a
+    # cold build needs every memo empty
     for fn in MEMOIZED:
         fn.cache_clear()
 
