@@ -43,7 +43,6 @@ ORDER_ENV_VAR = "SPTLAB_ORDER"
 class IdentityCheck:
     id: str
     description: str
-    kind: str  # exact-equality | congruence-mod-3 | oracle-agreement
     order: int = DEFAULT_ORDER
 
 
@@ -316,28 +315,28 @@ def _chk_i22(order, bound):
 
 # (metadata, check, erratum name or None)
 _REGISTRY: list[tuple[IdentityCheck, object, str | None]] = [
-    (IdentityCheck("I1", "sum_{n>=0} (1 - (q^(n+1);q)_inf) = sum sigma_0(n) q^n", "exact-equality"), _chk_i1, None),
-    (IdentityCheck("I2", "spt series = sum n p(n) q^n - (1/2) * second rank moment series", "exact-equality"), _chk_i2, None),
-    (IdentityCheck("I3", "spt23 series = (sum sigma(n) q^n)/(q^3;q^3)_inf - (1/2) * rank moment series at q^3", "exact-equality"), _chk_i3, None),
-    (IdentityCheck("I4", "Slater J(1) tables satisfy the Bailey pair defining relation (n <= 8)", "exact-equality", order=40), _chk_i4, "alpha0-literal-reading"),
-    (IdentityCheck("I5", "double-derivative specialization of the lemma holds for J(1)", "exact-equality", order=40), _chk_i5, None),
-    (IdentityCheck("I6", "Bailey's lemma at (z, y) = (-1, -1) holds for J(1)", "exact-equality", order=30), _chk_i6, None),
-    (IdentityCheck("I7", "cubic theta: lattice count equals the Lambert-series form", "exact-equality"), _chk_i7, "lambert-sum-started-at-1"),
-    (IdentityCheck("I8", "12 (sum sigma(n) q^n - 3 sum sigma(n) q^(3n)) = a(q)^2 - 1", "exact-equality"), _chk_i8, None),
-    (IdentityCheck("I9", "spt23 series - 3 spt series at q^3 = xi series + rank moment series at q^3", "exact-equality"), _chk_i9, "rank-moment-term-with-extra-euler-factor"),
-    (IdentityCheck("I10", "quaternary representation counts equal 12 sigma(n) - 36 sigma(n/3)", "oracle-agreement"), _chk_i10, None),
-    (IdentityCheck("I11", "spt23(n) = xi(n) for n = +-1 (mod 3); spt23(3n) = 3 spt(n) + xi(3n) + N2(n)", "oracle-agreement"), _chk_i11, None),
-    (IdentityCheck("I12", "spt23(n) = P3(n)/12 for n = +-1 (mod 3); spt23(3n) = (P3(3n)-p(n))/12 - N2(n)/2 (mod 3)", "congruence-mod-3"), _chk_i12, "congruence-with-convolution-zero-term-kept"),
-    (IdentityCheck("I13", "n p(n) = sum_k p(k) sigma(n-k)", "oracle-agreement"), _chk_i13, None),
-    (IdentityCheck("I14", "spt23(3n) = sum_k p(k) sigma(3(n-k)) - N2(n)/2", "oracle-agreement"), _chk_i14, None),
-    (IdentityCheck("I15", "sigma(3n) = 4 sigma(n) - 3 sigma(n/3)", "oracle-agreement"), _chk_i15, None),
-    (IdentityCheck("I16", "spt23(3n) = spt(n) (mod 3)", "congruence-mod-3"), _chk_i16, None),
-    (IdentityCheck("I17", "cubic theta: eta-quotient form equals the lattice count", "exact-equality"), _chk_i17, None),
-    (IdentityCheck("I18", "spt23 series - 3 spt series at q^3 equals the eta-quotient expansion plus the rank moment series at q^3", "exact-equality"), _chk_i18, None),
-    (IdentityCheck("I19", "spt23 series = (q;q)_inf^6/(12 (q^3;q^3)_inf^3) - 1/(12 (q^3;q^3)_inf) + rank moment series at q^3 (mod 3)", "congruence-mod-3"), _chk_i19, None),
-    (IdentityCheck("I20", "spt23(3n+2) = 0 (mod 3)", "congruence-mod-3"), _chk_i20, None),
-    (IdentityCheck("I21", "sum_k R(3k) p(n-k) = P3(3n)", "oracle-agreement"), _chk_i21, None),
-    (IdentityCheck("I22", "T_i + T_j = 2 (mod 3) only for i = j = 1 (mod 3), where 3 | 2i+1", "oracle-agreement"), _chk_i22, None),
+    (IdentityCheck("I1", "sum_{n>=0} (1 - (q^(n+1);q)_inf) = sum sigma_0(n) q^n"), _chk_i1, None),
+    (IdentityCheck("I2", "spt series = sum n p(n) q^n - (1/2) * second rank moment series"), _chk_i2, None),
+    (IdentityCheck("I3", "spt23 series = (sum sigma(n) q^n)/(q^3;q^3)_inf - (1/2) * rank moment series at q^3"), _chk_i3, None),
+    (IdentityCheck("I4", "Slater J(1) tables satisfy the Bailey pair defining relation (n <= 8)", order=40), _chk_i4, "alpha0-literal-reading"),
+    (IdentityCheck("I5", "double-derivative specialization of the lemma holds for J(1)", order=40), _chk_i5, None),
+    (IdentityCheck("I6", "Bailey's lemma at (z, y) = (-1, -1) holds for J(1)", order=30), _chk_i6, None),
+    (IdentityCheck("I7", "cubic theta: lattice count equals the Lambert-series form"), _chk_i7, "lambert-sum-started-at-1"),
+    (IdentityCheck("I8", "12 (sum sigma(n) q^n - 3 sum sigma(n) q^(3n)) = a(q)^2 - 1"), _chk_i8, None),
+    (IdentityCheck("I9", "spt23 series - 3 spt series at q^3 = xi series + rank moment series at q^3"), _chk_i9, "rank-moment-term-with-extra-euler-factor"),
+    (IdentityCheck("I10", "quaternary representation counts equal 12 sigma(n) - 36 sigma(n/3)"), _chk_i10, None),
+    (IdentityCheck("I11", "spt23(n) = xi(n) for n = +-1 (mod 3); spt23(3n) = 3 spt(n) + xi(3n) + N2(n)"), _chk_i11, None),
+    (IdentityCheck("I12", "spt23(n) = P3(n)/12 for n = +-1 (mod 3); spt23(3n) = (P3(3n)-p(n))/12 - N2(n)/2 (mod 3)"), _chk_i12, "congruence-with-convolution-zero-term-kept"),
+    (IdentityCheck("I13", "n p(n) = sum_k p(k) sigma(n-k)"), _chk_i13, None),
+    (IdentityCheck("I14", "spt23(3n) = sum_k p(k) sigma(3(n-k)) - N2(n)/2"), _chk_i14, None),
+    (IdentityCheck("I15", "sigma(3n) = 4 sigma(n) - 3 sigma(n/3)"), _chk_i15, None),
+    (IdentityCheck("I16", "spt23(3n) = spt(n) (mod 3)"), _chk_i16, None),
+    (IdentityCheck("I17", "cubic theta: eta-quotient form equals the lattice count"), _chk_i17, None),
+    (IdentityCheck("I18", "spt23 series - 3 spt series at q^3 equals the eta-quotient expansion plus the rank moment series at q^3"), _chk_i18, None),
+    (IdentityCheck("I19", "spt23 series = (q;q)_inf^6/(12 (q^3;q^3)_inf^3) - 1/(12 (q^3;q^3)_inf) + rank moment series at q^3 (mod 3)"), _chk_i19, None),
+    (IdentityCheck("I20", "spt23(3n+2) = 0 (mod 3)"), _chk_i20, None),
+    (IdentityCheck("I21", "sum_k R(3k) p(n-k) = P3(3n)"), _chk_i21, None),
+    (IdentityCheck("I22", "T_i + T_j = 2 (mod 3) only for i = j = 1 (mod 3), where 3 | 2i+1"), _chk_i22, None),
 ]
 
 _BY_ID = {entry[0].id: entry for entry in _REGISTRY}
@@ -439,6 +438,8 @@ SEQUENCE_NAMES = tuple(_SEQUENCES)
 
 def sequence_values(name: str, upto: int) -> list[tuple[int, Fraction]]:
     """The named sequence as (index, value) pairs, up to and including upto."""
+    if not isinstance(upto, int):
+        raise TypeError(f"upto must be an int, not {type(upto).__name__}")
     if upto < 0:
         raise ValueError("upto must be non-negative")
     if upto > MAX_ORDER:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
-from .series import Series, _over_pentagonal, _pentagonal, _ratio, integral, monomial, one, prefix_cache, zero
+from .series import Series, integral, monomial, one, prefix_cache, zero
 
 Partition = tuple[int, ...]
 
@@ -62,16 +62,14 @@ _P_TABLE = (1,)  # p(0), p(1), ...: replaced whole, never filled in place
 
 
 def p_count(n: int) -> int:
-    """p(n): the coefficients of 1/(q;q)_inf, by Euler's pentagonal-number
-    recurrence, continued past the table built so far."""
+    """p(n), the coefficient of q^n in 1/(q;q)_inf, from a table that ``Series.qmul`` fills."""
     global _P_TABLE
     if n < 0:
         raise ValueError("p(n) needs n >= 0")
     table = _P_TABLE
     if n >= len(table):  # at least double it, so an ascending fill costs O(n^1.5)
-        x = [*table, *[0] * max(n + 1 - len(table), len(table))]
-        _over_pentagonal(x, *_pentagonal(1, len(x) - 1), len(table))
-        table = _P_TABLE = tuple(x)
+        inverse = one(max(n, 2 * len(table))).qmul(1, 1, 1, None, -1)
+        table = _P_TABLE = tuple(c.numerator for c in inverse.coeffs)
     return table[n]
 
 
@@ -81,9 +79,11 @@ def sigma(k: int, n) -> int:
         raise TypeError(f"the divisor power is an int, not {type(k).__name__}")
     if k < 0:
         raise ValueError("divisor power must be non-negative")
-    n, den = _ratio(n)  # a float is a TypeError
-    if den != 1 or n < 1:
+    if not isinstance(n, (int, Fraction)):
+        raise TypeError(f"sigma takes an int or Fraction n, not {type(n).__name__}")
+    if n.denominator != 1 or n < 1:
         return 0
+    n = n.numerator
     total = 0
     d = 1
     while d * d <= n:

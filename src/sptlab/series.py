@@ -161,7 +161,7 @@ class Series:
             nums, den = [-x for x in nums], -den
         return _canonical(nums, den)
 
-    def qmul(self, c: Rational, start: int, step: int, count: int | None, power: int = 1) -> Series:
+    def qmul(self, c: int, start: int, step: int, count: int | None, power: int = 1) -> Series:
         """self * prod_j (1 - c*q^(start + j*step))^power.
 
         ``count`` is the number of factors; None means the infinite product, in
@@ -169,10 +169,10 @@ class Series:
         are 1 + O(q^(order+1)), so the truncation is exact, not approximate).
         An infinite product needs start >= 1 to stabilize termwise.
 
-        c is 1 or -1, as an int or an integral Fraction, so every factor has int
-        coefficients and the denominator never changes.  A full Euler product
-        (q^k;q^k)_inf (count None, c = 1, start = step = k) goes by its
-        pentagonal-number expansion, any other product one binomial at a time.
+        c is the int 1 or -1 (an integral Fraction too is a TypeError), so every
+        factor has int coefficients and the denominator never changes.  A full
+        Euler product (q^k;q^k)_inf (count None, c = 1, start = step = k) goes by
+        its pentagonal-number expansion, any other product one binomial at a time.
         """
         if step < 1:
             raise ValueError("step must be a positive integer")
@@ -184,8 +184,9 @@ class Series:
             raise ValueError("factor count must be non-negative")
         if power < 0 and start == 0 and count != 0:
             raise ValueError("cannot divide by a factor at q^0 in place")
-        a, b = _ratio(c)
-        if b != 1 or a not in (1, -1):
+        if not isinstance(c, int):
+            raise TypeError(f"a factor (1 - c*q^e) takes an int c, not {type(c).__name__}")
+        if c not in (1, -1):
             raise ValueError(f"a factor (1 - c*q^e) needs c = 1 or -1, not c = {c}")
         order = self.order
         last = order if count is None else min(order, start + (count - 1) * step)
@@ -193,7 +194,7 @@ class Series:
         if power == 0 or not exponents:
             return self
         x = list(self._num)
-        if count is None and a == 1 and start == step:  # a full Euler product
+        if count is None and c == 1 and start == step:  # a full Euler product
             minus, plus = _pentagonal(step, order)
             for _ in range(abs(power)):
                 (_times_pentagonal if power > 0 else _over_pentagonal)(x, minus, plus)
@@ -201,7 +202,7 @@ class Series:
             binomial = _times_binomial if power > 0 else _over_binomial
             for e in exponents:
                 for _ in range(abs(power)):
-                    binomial(x, a, e)
+                    binomial(x, c, e)
         return _canonical(x, self._den)
 
     # -- structural operations ----------------------------------------------
@@ -309,10 +310,9 @@ def _times_pentagonal(x: list, minus: list, plus: list) -> None:
             x[e:] = map(op, x[e:], src)
 
 
-def _over_pentagonal(x: list, minus: list, plus: list, start: int = 1) -> None:
-    """x <- x / (1 - sum_minus q^e + sum_plus q^e) in place, by the upward
-    recurrence; x[:start] must already be divided."""
-    for m in range(start, len(x)):
+def _over_pentagonal(x: list, minus: list, plus: list) -> None:
+    """x <- x / (1 - sum_minus q^e + sum_plus q^e) in place, by the upward recurrence."""
+    for m in range(1, len(x)):
         v = x[m]
         for e in minus:
             if e > m:
@@ -323,13 +323,6 @@ def _over_pentagonal(x: list, minus: list, plus: list, start: int = 1) -> None:
                 break
             v -= x[m - e]
         x[m] = v
-
-
-def _ratio(c: Rational) -> tuple[int, int]:
-    """c as (numerator, denominator) in lowest terms; only int and Fraction pass."""
-    if not isinstance(c, (int, Fraction)):
-        raise TypeError(f"exact values are int or Fraction, not {type(c).__name__}")
-    return int(c.numerator), int(c.denominator)
 
 
 def _int(c: int) -> int:
@@ -406,10 +399,10 @@ def prefix_cache(build):
     return cached
 
 
-def poch(c: Rational, start: int, step: int, count: int | None, order: int) -> Series:
+def poch(c: int, start: int, step: int, count: int | None, order: int) -> Series:
     """q-Pochhammer-style product prod_j (1 - c*q^(start + j*step)) through q^order.
 
-    The factors, and the rules on them (c = 1 or -1), are those of ``Series.qmul``.
+    The factors, and the rules on them (c the int 1 or -1), are those of ``Series.qmul``.
     Examples: (-1;q)_n = poch(-1, 0, 1, n, N); (q^3;q^3)_inf = poch(1, 3, 3, None, N).
     """
     return one(order).qmul(c, start, step, count)

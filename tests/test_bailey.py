@@ -46,9 +46,10 @@ def reference_lemma_sides(pair: BaileyPair, z, y, order: int) -> tuple[Series, S
     """Both sides of Bailey's lemma at (z, y), a = 1, each summed in its own
     loop that builds (z;q)_n (y;q)_n (q/zy)^n afresh: at (-1, -1), the
     differential reference for ``lemma_sides``, which builds no weight and
-    nests both sums from n = order down by Horner's rule."""
-    z, y = Fraction(z), Fraction(y)
-    w = 1 / (z * y)
+    nests both sums from n = order down by Horner's rule.  z and y are the
+    ints 1 or -1, the only c a q-product factor takes, so 1/z = 1 // z and
+    w = 1 // (zy) are ints too."""
+    w = 1 // (z * y)
 
     lhs = zero(order)
     for n in range(min(pair.n_max, order) + 1):
@@ -59,8 +60,8 @@ def reference_lemma_sides(pair: BaileyPair, z, y, order: int) -> tuple[Series, S
         lhs += term
 
     prefactor = (
-        poch(1 / z, 1, 1, None, order)
-        * poch(1 / y, 1, 1, None, order)
+        poch(1 // z, 1, 1, None, order)
+        * poch(1 // y, 1, 1, None, order)
         * (poch(1, 1, 1, None, order) * poch(w, 1, 1, None, order)).invert()
     )
     total = zero(order)
@@ -68,7 +69,7 @@ def reference_lemma_sides(pair: BaileyPair, z, y, order: int) -> tuple[Series, S
         if pair.alpha[n].is_zero():
             continue
         num = poch(z, 0, 1, n, order) * poch(y, 0, 1, n, order) * pair.alpha[n]
-        den = poch(1 / z, 1, 1, n, order) * poch(1 / y, 1, 1, n, order)
+        den = poch(1 // z, 1, 1, n, order) * poch(1 // y, 1, 1, n, order)
         term = num * den.invert() * w**n
         if n:
             term = term * monomial(1, n, order)

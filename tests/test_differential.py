@@ -21,7 +21,7 @@ from sptlab.series import NonIntegralError, Series, one, residue
 
 rationals = st.builds(Fraction, st.integers(-30, 30), st.sampled_from((1, 2, 3, 4, 12)))
 coeff_lists = st.lists(rationals, min_size=1, max_size=12)
-factor_cs = st.sampled_from((1, -1, Fraction(1), Fraction(-1)))  # the c of (1 - c*q^e)
+factor_cs = st.sampled_from((1, -1))  # the c of (1 - c*q^e), an int
 
 
 def assert_matches(result: Series, expected: list):

@@ -14,6 +14,7 @@ import pytest
 from conftest import rational_series
 from sptlab import bailey, cli, identities, partitions, theta
 from sptlab.series import lambert
+from test_prefix_cache import MEMOIZED
 
 ORDER = 24
 BOUND = 14
@@ -30,10 +31,6 @@ class TestRegistry:
         assert len(metas) == 22
         assert len({m.id for m in metas}) == 22
         assert [m.id for m in metas] == [f"I{k}" for k in range(1, 23)]
-
-    def test_kinds_are_known(self):
-        kinds = {m.kind for m in identities.registry()}
-        assert kinds == {"exact-equality", "congruence-mod-3", "oracle-agreement"}
 
     def test_descriptions_are_informative(self):
         for m in identities.registry():
@@ -339,6 +336,17 @@ class TestSequences:
         with pytest.raises(ValueError, match="unknown export format"):
             identities.export_sequence("spt23", 1500, "xml")
         assert partitions.spt23_series.cache_info().misses == 0
+
+    def test_non_int_upto_fails_before_building(self):
+        # these failed deep inside a builder: ("xi", Fraction(4)) in lattice_table,
+        # ("spt", 5.0) on a slice index, ("p", 2.5) in range
+        before = [b.cache_info() for b in MEMOIZED]
+        for name, upto in (("xi", Fraction(4)), ("spt", 5.0), ("p", 2.5)):
+            with pytest.raises(TypeError, match=f"upto must be an int, not {type(upto).__name__}"):
+                identities.sequence_values(name, upto)
+            with pytest.raises(TypeError, match="upto must be an int"):
+                identities.export_sequence(name, upto, "json")
+        assert [b.cache_info() for b in MEMOIZED] == before
 
     def test_values_match_modules(self):
         values = dict(identities.sequence_values("R", 12))

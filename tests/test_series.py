@@ -22,7 +22,7 @@ from sptlab.series import (
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 coeff_lists = st.lists(rationals, min_size=1, max_size=9)
-factor_cs = st.sampled_from((1, -1, Fraction(1), Fraction(-1)))  # the c of (1 - c*q^e)
+factor_cs = st.sampled_from((1, -1))  # the c of (1 - c*q^e), an int
 
 
 def geometric(order):
@@ -135,14 +135,22 @@ class TestPoch:
         assert poch(1, 1, 1, 50, 6) == poch(1, 1, 1, None, 6)
 
     def test_rational_argument(self):
-        # a factor (1 - c*q^e) takes c = 1 or -1 only; poch(1/2, 1, 1, 1, 3) was 1 - q/2
-        for c in (Fraction(1, 2), 2, 0, Fraction(-1, 3)):
+        # a factor (1 - c*q^e) takes the int c = 1 or -1 only; poch(1/2, 1, 1, 1, 3) was 1 - q/2
+        for c in (2, 0, -3):
             with pytest.raises(ValueError, match=f"not c = {c}"):
                 poch(c, 1, 1, 1, 3)
             with pytest.raises(ValueError, match=f"not c = {c}"):
                 one(2).qmul(c, 3, 1, 1)  # even a factor beyond the order
             with pytest.raises(ValueError, match=f"not c = {c}"):
                 one(2).qmul(c, 1, 1, None, 0)  # or no factor at all
+        for c in (Fraction(1, 2), Fraction(1), Fraction(-1), 1.0):  # an integral Fraction too
+            for call in (
+                lambda: poch(c, 1, 1, 1, 3),
+                lambda: one(2).qmul(c, 3, 1, 1),
+                lambda: one(2).qmul(c, 1, 1, None, 0),
+            ):
+                with pytest.raises(TypeError, match=f"takes an int c, not {type(c).__name__}"):
+                    call()
 
 
 class TestQmul:
