@@ -6,9 +6,8 @@ double-derivative identity turns the pair into the restricted
 smallest-parts generating function.
 """
 
-from dataclasses import replace
-
 from sptlab import (
+    BaileyPair,
     derivative_identity_sides,
     lemma_sides,
     monomial,
@@ -31,7 +30,7 @@ print()
 print("== defining relation ==")
 print("verify_pair ->", verify_pair(pair, N), "(None means every n checked out)")
 
-literal = replace(pair, alpha=(monomial(2, 0, N),) + pair.alpha[1:])
+literal = BaileyPair((monomial(2, 0, N),) + pair.alpha[1:], pair.beta)
 print("with alpha_0 = 2 instead ->", verify_pair(literal, N))
 print("(fails immediately at n = 1: the relation pins alpha_0 = 1)")
 

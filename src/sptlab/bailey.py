@@ -13,23 +13,24 @@ is verified, never assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .series import Series, lambert, one, zero
 
 
-@dataclass(frozen=True)
-class BaileyPair:
-    alpha: tuple[Series, ...]
-    beta: tuple[Series, ...]
+class BaileyPair(namedtuple("BaileyPair", "alpha beta")):
+    """Rows alpha_n and beta_n for n = 0..n_max, checked here (``_replace`` skips the check)."""
 
-    def __post_init__(self):
-        if len(self.alpha) != len(self.beta) or not self.alpha:
+    __slots__ = ()
+
+    def __new__(cls, alpha: tuple[Series, ...], beta: tuple[Series, ...]):
+        if len(alpha) != len(beta) or not alpha:
             raise ValueError("alpha and beta must be tabulated for the same 0..n_max")
-        orders = [s.order for s in self.alpha]
-        if orders != [s.order for s in self.beta] or orders != sorted(orders, reverse=True):
+        orders = [s.order for s in alpha]
+        if orders != [s.order for s in beta] or orders != sorted(orders, reverse=True):
             raise ValueError("alpha_n and beta_n must share one truncation order that never grows with n")
+        return super().__new__(cls, alpha, beta)
 
     @property
     def n_max(self) -> int:

@@ -57,6 +57,7 @@ def _format_text(results, order, oracle_bound) -> str:
         d = r.diagnostic or {}
         if "error" in d:
             lines.append(f"      error: {d['error']}")
+            lines.append(f"      raised at: {d['raised_at']}")
         if "name" in d:
             note = f"      diagnostic {d['name']}: {d['status']} (expected {d['expected_status']})"
             if "first_mismatch" in d:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
 from functools import partial
 from itertools import chain
@@ -39,25 +39,18 @@ MAX_ORDER = 2000
 ORDER_ENV_VAR = "SPTLAB_ORDER"
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
-    id: str
-    description: str
-    order: int = DEFAULT_ORDER
+IdentityCheck = namedtuple("IdentityCheck", "id description order", defaults=(DEFAULT_ORDER,))
 
 
-@dataclass
-class IdentityResult:
-    id: str
-    status: str  # pass | fail | error
-    order_checked: int
-    runtime_ms: float
-    first_mismatch: list | None
-    diagnostic: dict | None = None
+class IdentityResult(namedtuple("IdentityResult", "id status order_checked runtime_ms first_mismatch diagnostic",
+                                defaults=(None,))):
+    """One check's outcome; status is pass, fail or error."""
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         """The report entry: the fields in order, less those that are None."""
-        return {k: v for k, v in asdict(self).items() if v is not None}
+        return {k: v for k, v in self._asdict().items() if v is not None}
 
 
 def _fmt(x) -> str:
@@ -129,7 +122,7 @@ def _chk_i4(order, bound):
     pair = bailey.slater_j1(8, order)
     # literal reading: the alpha formula taken at k = 0 too, so alpha_0 = 2
     return cases(pair), lambda: cases(
-        replace(pair, alpha=(monomial(2, 0, order),) + pair.alpha[1:])
+        bailey.BaileyPair((monomial(2, 0, order),) + pair.alpha[1:], pair.beta)
     )
 
 
@@ -385,7 +378,10 @@ def run(check_id: str, order: int | None = None, oracle_bound: int | None = None
     except Exception as exc:  # pragma: no cover - defensive harness boundary
         mismatch = None
         status = "error"
-        diagnostic = {"error": repr(exc)}
+        tb = exc.__traceback__
+        while tb.tb_next is not None:  # to the frame that raised
+            tb = tb.tb_next
+        diagnostic = {"error": repr(exc), "raised_at": f"{tb.tb_frame.f_code.co_filename}:{tb.tb_lineno}"}
     runtime_ms = round((time.perf_counter() - t0) * 1000, 3)
     return IdentityResult(check_id, status, n, runtime_ms, mismatch, diagnostic)
 

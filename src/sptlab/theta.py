@@ -9,7 +9,7 @@ the xi series and the convolutions with the partitions into multiples of 3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import isqrt
 
@@ -17,13 +17,10 @@ from .partitions import p3, p_count, sigma
 from .series import Series, monomial, one, prefix_cache
 
 
-@dataclass(frozen=True)
-class LatticeCountTable:
+class LatticeCountTable(namedtuple("LatticeCountTable", "bound r2 R")):
     """Representation counts r2 (binary form) and R (quaternary form) up to bound."""
 
-    bound: int
-    r2: tuple[int, ...]
-    R: tuple[int, ...]
+    __slots__ = ()
 
     def truncate(self, bound: int) -> LatticeCountTable:
         """The table up to a smaller bound; exact, as R(k) reads only r2[:k + 1]."""

@@ -1,6 +1,5 @@
 """Bailey pair construction, the defining relation, and the lemma at (z, y) = (-1, -1)."""
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -39,7 +38,7 @@ def unit_pair(n_max: int, order: int) -> BaileyPair:
 def literal_alpha0_pair(n_max: int, order: int) -> BaileyPair:
     """J(1) with its alpha formula read literally at k = 0 as well, so alpha_0 = 2."""
     pair = slater_j1(n_max, order)
-    return replace(pair, alpha=(monomial(2, 0, order),) + pair.alpha[1:])
+    return BaileyPair((monomial(2, 0, order),) + pair.alpha[1:], pair.beta)
 
 
 def reference_lemma_sides(pair: BaileyPair, z, y, order: int) -> tuple[Series, Series]:

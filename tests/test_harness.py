@@ -6,8 +6,8 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -186,7 +186,7 @@ def doctored_R(index, change):
         t = build(bound)
         R = list(t.R)
         R[index] = change(R[index])
-        return replace(t, R=tuple(R))
+        return t._replace(R=tuple(R))
     return table
 
 
@@ -265,6 +265,18 @@ class TestErrorResults:
         lines = capsys.readouterr().out.splitlines()
         assert lines[1].split()[:2] == ["I20", "error"]
         assert lines[2] == "      error: RuntimeError('spt23 builder broke')"
+        assert lines[3] == f"      raised at: {__file__}:{broken.__code__.co_firstlineno + 1}"
+
+    def test_raised_at_names_the_innermost_frame(self, monkeypatch):
+        # the check calls the builder, which calls sigma: the frame that
+        # raised is sigma's, two calls below the check
+        monkeypatch.setattr(partitions, "spt23_series", lambda order: partitions.sigma(1, 1.5))
+        d = identities.run("I20", 12, 12).to_dict()["diagnostic"]
+        assert sorted(d) == ["error", "raised_at"]
+        assert d["error"] == "TypeError('sigma takes an int or Fraction n, not float')"
+        path, line = d["raised_at"].rsplit(":", 1)
+        assert path == partitions.__file__
+        assert "raise TypeError" in Path(path).read_text().splitlines()[int(line) - 1]
 
 
 class TestCaches:

@@ -1,10 +1,11 @@
-"""A wrong p(n) or sigma(n) must fail the checks that read it.
+"""A wrong p(n), sigma(n) or series coefficient must fail the checks that read it.
 
-Each case moves one value of a builder by one and rebinds the builder in
-every sptlab module that binds it, since ``theta`` binds ``p_count``, ``p3``
-and ``sigma`` at import.  It then clears the prefix memos and runs the whole
-registry.  The checks that read the value must fail, each at the first index
-the value reaches, and every other check must pass.
+Each case moves one value of a builder by one (for a series builder, the
+coefficient of one q^k) and rebinds the builder in every sptlab module that
+binds it, since ``theta`` binds ``p_count``, ``p3`` and ``sigma`` at import.
+It then clears the prefix memos and runs the whole registry.  The checks
+that read the value must fail, each at the first index the value reaches,
+and every other check must pass.
 """
 
 import sys
@@ -12,6 +13,7 @@ import sys
 import pytest
 
 from sptlab import identities, partitions, theta
+from sptlab.series import monomial
 from test_prefix_cache import clear_all
 
 ORDER = 24
@@ -29,10 +31,18 @@ def moved_by_one(monkeypatch, name, at, modules=None):
     """Rebind partitions.<name> to one that returns its value plus 1 at the
     arguments ``at``, in ``modules`` (every sptlab module by default)."""
     original = getattr(partitions, name)
+    rebind(monkeypatch, original, lambda *args: original(*args) + (args == at), modules)
 
-    def moved(*args):
-        return original(*args) + (args == at)
 
+def coefficient_moved_by_one(monkeypatch, name, k):
+    """Rebind the series builder partitions.<name>, in every sptlab module,
+    to one whose coefficient of q^k is 1 larger wherever it reaches q^k."""
+    original = getattr(partitions, name)
+    rebind(monkeypatch, original, lambda order: original(order) + (monomial(1, k, order) if k <= order else 0))
+
+
+def rebind(monkeypatch, original, moved, modules=None):
+    """Put ``moved`` where ``modules`` bind ``original``, then clear the memos."""
     if modules is None:
         modules = [m for key, m in sys.modules.items() if key == "sptlab" or key.startswith("sptlab.")]
     for module in modules:
@@ -77,3 +87,20 @@ def test_i21_reads_p_on_both_sides(monkeypatch, fresh_memos):
     monkeypatch.undo()
     moved_by_one(monkeypatch, "p_count", (5,), [theta])
     assert failures() == {"I21": 5}
+
+
+@pytest.mark.parametrize(
+    ("name", "k", "expected"),
+    [
+        ("spt_series", 5, {"I2": 5, "I9": 15, "I11": 15, "I16": 15, "I18": 15}),
+        # I20 reads spt23 at n = 2 (mod 3), I14 and I16 at n = 0 (mod 3): one case each
+        ("spt23_series", 5, {"I3": 5, "I9": 5, "I11": 5, "I12": 5, "I18": 5, "I19": 5, "I20": 5}),
+        ("spt23_series", 6, {"I3": 6, "I9": 6, "I11": 6, "I12": 6, "I14": 6, "I16": 6, "I18": 6, "I19": 6}),
+        ("second_rank_moment_series", 4,
+         {"I2": 4, "I3": 12, "I9": 12, "I11": 12, "I12": 12, "I14": 12, "I18": 12, "I19": 12}),
+        ("xi_series", 8, {"I9": 8, "I11": 8}),
+    ],
+)
+def test_a_moved_coefficient_fails_the_checks_that_read_it(monkeypatch, fresh_memos, name, k, expected):
+    coefficient_moved_by_one(monkeypatch, name, k)
+    assert failures() == expected
